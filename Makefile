@@ -5,7 +5,7 @@
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test race vet lint api apicheck bench ci
+.PHONY: build test race vet lint api apicheck perfbench-check bench ci
 
 build:
 	go build ./...
@@ -38,6 +38,13 @@ api:
 # apicheck diffs the live API surface against the baseline.
 apicheck:
 	go doc -all . | diff -u api/focus.txt - || (echo "public API drifted: run 'make api' and commit api/focus.txt" && exit 1)
+
+# perfbench-check vets and tests the system benchmark harness. perfbench/
+# is its own Go module, so the root ./... patterns never compile it; this
+# catches a change under internal/ that breaks the harness before the
+# benchmark itself is run.
+perfbench-check:
+	cd perfbench && go vet ./... && go test ./...
 
 # bench runs every benchmark once with memory stats and distills the
 # machine-readable trajectory BENCH_focus.json (package-qualified name ->
@@ -72,4 +79,4 @@ bench:
 	@rm -f bench.out
 	@echo "wrote BENCH_focus.json"
 
-ci: build vet lint test apicheck
+ci: build vet lint test apicheck perfbench-check

@@ -46,14 +46,7 @@
 // A new model class (histograms, quantile sketches, ...) plugs into every
 // pipeline — including the incremental monitor — by implementing ModelClass
 // alone. Pipelines are tuned through one functional-options vocabulary
-// (WithParallelism, WithFocus, WithThreshold, WithWindow, ...) replacing
-// the per-class options structs of earlier versions.
-//
-// The per-class entry points (LitsDeviation, DTDeviation,
-// ClusterDeviation(With), QualifyLits, QualifyDT, NewLitsMonitor,
-// NewDTMonitor, NewClusterMonitor) remain as deprecated thin wrappers over
-// the unified pipeline and produce bit-identical results; see the README's
-// migration table.
+// (WithParallelism, WithFocus, WithThreshold, WithWindow, ...).
 //
 // # Everything else
 //
@@ -83,9 +76,9 @@
 // backends: the prefix-trie subset scan and a vertical TID-bitmap index
 // (per-item transaction bitsets intersected with popcount-fused ANDs,
 // memoized per dataset). Counts are bit-identical either way; the Counter
-// knob (WithCounter, LitsWithCounter, SetCounter, the CLIs' -counter flag)
-// selects a backend, with "auto" choosing per scan by dataset density and
-// candidate volume.
+// knob (WithCounter, LitsWithCounter, the CLIs' -counter flag) selects a
+// backend, with "auto" (the default) choosing per scan by dataset density
+// and candidate volume.
 //
 // The monitoring regime runs continuously through NewMonitor: batches enter
 // a sliding or tumbling window whose model is maintained incrementally from
@@ -148,14 +141,8 @@ const (
 )
 
 // ParseCounter validates a counting-backend name ("auto", "trie" or
-// "bitmap"; "" selects the process default).
+// "bitmap"; "" means auto).
 func ParseCounter(name string) (Counter, error) { return apriori.ParseCounter(name) }
-
-// SetCounter fixes the backend selected by an unset Counter knob anywhere
-// in the pipeline — the counting analogue of SetParallelism, intended for
-// process setup (the CLIs' -counter flag). Passing "" restores the built-in
-// default, CounterAuto.
-func SetCounter(c Counter) { apriori.SetDefaultCounter(c) }
 
 // Difference and aggregate functions (Definition 3.7).
 type (
@@ -270,7 +257,7 @@ type (
 
 // Lits returns the lits-model class: frequent itemsets mined by Apriori at
 // the given minimum support (Section 2.2), counting through the
-// process-default backend.
+// auto-selected backend.
 func Lits(minSupport float64) ModelClass[*TxnDataset, *LitsModel] { return core.Lits(minSupport) }
 
 // LitsWithCounter is Lits with an explicit vertical-engine backend, one
@@ -359,9 +346,6 @@ func WithAlert(fn func(MonitorReport)) Option { return core.WithAlert(fn) }
 // WithQualification bootstraps the significance of every monitor emission.
 func WithQualification() Option { return core.WithQualification() }
 
-// WithConfig replaces the whole configuration at once.
-func WithConfig(c Config) Option { return core.WithConfig(c) }
-
 // The unified pipelines.
 
 // Deviation computes delta(f,g) between d1 and d2 through two models of one
@@ -375,7 +359,7 @@ func Deviation[D, M any](mc ModelClass[D, M], m1, m2 M, d1, d2 D, f DiffFunc, g 
 // Qualify computes the deviation between d1 and d2 through freshly induced
 // models of the class and its bootstrap significance (Section 3.4). It is
 // the one qualification pipeline for every model class — including
-// cluster-models, which the deprecated per-class API could not qualify.
+// cluster-models.
 func Qualify[D, M any](mc ModelClass[D, M], d1, d2 D, f DiffFunc, g AggFunc, opts ...Option) (Qualification, error) {
 	return core.Qualify(mc, d1, d2, f, g, opts...)
 }
@@ -438,47 +422,10 @@ func BuildClusterModel(d *Dataset, g *Grid, minDensity float64) (*ClusterModel, 
 	return core.BuildClusterModel(d, g, minDensity)
 }
 
-// Deprecated per-class options structs, kept for the compatibility
-// wrappers.
-type (
-	// LitsOptions tunes lits-model deviations.
-	//
-	// Deprecated: use the unified options (WithFocusItemsets,
-	// WithParallelism) with Deviation.
-	LitsOptions = core.LitsOptions
-	// DTOptions tunes dt-model deviations.
-	//
-	// Deprecated: use the unified options (WithFocus, WithParallelism)
-	// with Deviation.
-	DTOptions = core.DTOptions
-	// ClusterOptions tunes cluster-model deviations.
-	//
-	// Deprecated: use the unified options (WithParallelism) with
-	// Deviation.
-	ClusterOptions = core.ClusterOptions
-)
-
-// LitsDeviation computes delta(f,g) between d1 and d2 through their
-// lits-models (Definition 3.6).
-//
-// Deprecated: use Deviation with Lits(minSupport); results are
-// bit-identical.
-func LitsDeviation(m1, m2 *LitsModel, d1, d2 *TxnDataset, f DiffFunc, g AggFunc, opts LitsOptions) (float64, error) {
-	return core.LitsDeviation(m1, m2, d1, d2, f, g, opts)
-}
-
 // LitsUpperBound computes the model-only upper bound delta*(g) of
 // Theorem 4.2 — no dataset scan required.
 func LitsUpperBound(m1, m2 *LitsModel, g AggFunc) float64 {
 	return core.LitsUpperBound(m1, m2, g)
-}
-
-// DTDeviation computes delta(f,g) between d1 and d2 through their dt-models
-// over the GCR overlay (Definition 3.6, Section 4.2).
-//
-// Deprecated: use Deviation with DT(cfg); results are bit-identical.
-func DTDeviation(m1, m2 *DTModel, d1, d2 *Dataset, f DiffFunc, g AggFunc, opts DTOptions) (float64, error) {
-	return core.DTDeviation(m1, m2, d1, d2, f, g, opts)
 }
 
 // DTGCRRegions returns the GCR overlay of two dt-models.
@@ -486,51 +433,13 @@ func DTGCRRegions(m1, m2 *DTModel) ([]GCRRegion, error) {
 	return core.DTGCRRegions(m1, m2)
 }
 
-// ClusterDeviation computes delta(f,g) between d1 and d2 through their
-// cluster-models over one grid.
-//
-// Deprecated: ClusterDeviation is an alias of ClusterDeviationWith with
-// zero options; use Deviation with Cluster(grid, minDensity).
-func ClusterDeviation(m1, m2 *ClusterModel, d1, d2 *Dataset, f DiffFunc, g AggFunc) (float64, error) {
-	return core.ClusterDeviation(m1, m2, d1, d2, f, g)
-}
-
-// ClusterDeviationWith is ClusterDeviation with options (parallelism).
-//
-// Deprecated: use Deviation with Cluster(grid, minDensity); results are
-// bit-identical.
-func ClusterDeviationWith(m1, m2 *ClusterModel, d1, d2 *Dataset, f DiffFunc, g AggFunc, opts ClusterOptions) (float64, error) {
-	return core.ClusterDeviationWith(m1, m2, d1, d2, f, g, opts)
-}
-
 // Qualification and monitoring (Sections 3.4 and 5.2).
 type (
 	// Qualification reports a deviation with its bootstrap significance.
 	Qualification = core.Qualification
-	// QualifyOptions tunes the bootstrap.
-	//
-	// Deprecated: use the unified options (WithReplicates, WithSeed,
-	// WithExtension, WithParallelism) with Qualify.
-	QualifyOptions = core.QualifyOptions
 	// ChiSquaredTestResult reports the bootstrap goodness-of-fit test.
 	ChiSquaredTestResult = core.ChiSquaredTestResult
 )
-
-// QualifyLits computes the lits deviation between d1 and d2 and its
-// bootstrap significance (Section 3.4).
-//
-// Deprecated: use Qualify with Lits(minSupport); results are bit-identical.
-func QualifyLits(d1, d2 *TxnDataset, minSupport float64, f DiffFunc, g AggFunc, opts QualifyOptions) (Qualification, error) {
-	return core.QualifyLits(d1, d2, minSupport, f, g, opts)
-}
-
-// QualifyDT computes the dt deviation between d1 and d2 and its bootstrap
-// significance (Section 3.4).
-//
-// Deprecated: use Qualify with DT(cfg); results are bit-identical.
-func QualifyDT(d1, d2 *Dataset, cfg TreeConfig, f DiffFunc, g AggFunc, opts QualifyOptions) (Qualification, error) {
-	return core.QualifyDT(d1, d2, cfg, f, g, opts)
-}
 
 // MisclassificationViaFOCUS computes ME_T(D2) as half the FOCUS deviation
 // between D2 and the predicted dataset D2^T (Theorem 5.2).
@@ -663,26 +572,8 @@ type (
 	// (or the previous window), bit-identical to rebuilding the window's
 	// model from scratch.
 	Monitor[D, M any] = stream.Monitor[D, M]
-	// MonitorOptions configures a Monitor (window policy, f/g, threshold
-	// alerts, bootstrap qualification, parallelism). It is the same type
-	// as Config; prefer assembling it with the With* options.
-	MonitorOptions = stream.Options
 	// MonitorReport is one emission of a Monitor.
 	MonitorReport = stream.Report
-	// LitsMonitor monitors transaction batches through lits-models.
-	//
-	// Deprecated: use NewMonitor with Lits(minSupport).
-	LitsMonitor = stream.LitsMonitor
-	// DTMonitor monitors tuple batches through the cells of a pinned
-	// decision tree (Section 5.2).
-	//
-	// Deprecated: use NewMonitor with PinnedDT(tree).
-	DTMonitor = stream.DTMonitor
-	// ClusterMonitor monitors tuple batches through grid-based
-	// cluster-models.
-	//
-	// Deprecated: use NewMonitor with Cluster(grid, minDensity).
-	ClusterMonitor = stream.ClusterMonitor
 )
 
 // NewMonitor creates the unified incremental monitor for any model class:
@@ -693,37 +584,6 @@ type (
 // complete window becomes the initial reference.
 func NewMonitor[D, M any](mc ModelClass[D, M], ref D, opts ...Option) (*Monitor[D, M], error) {
 	return stream.New(mc, ref, core.NewConfig(opts...))
-}
-
-// NewLitsMonitor creates a monitor that mines a lits-model at minSupport
-// over each window of transaction batches and emits its deviation from the
-// reference model mined over ref.
-//
-// Deprecated: use NewMonitor with Lits(minSupport); results are
-// bit-identical.
-func NewLitsMonitor(ref *TxnDataset, minSupport float64, opts MonitorOptions) (*LitsMonitor, error) {
-	return stream.NewLitsMonitor(ref, minSupport, opts)
-}
-
-// NewDTMonitor creates a monitor that measures every window of tuple
-// batches over the pinned tree's leaf-by-class cells and emits its
-// deviation from the reference measures (ref may be nil with
-// PreviousWindow).
-//
-// Deprecated: use NewMonitor with PinnedDT(tree); results are
-// bit-identical.
-func NewDTMonitor(tree *Tree, ref *Dataset, opts MonitorOptions) (*DTMonitor, error) {
-	return stream.NewDTMonitor(tree, ref, opts)
-}
-
-// NewClusterMonitor creates a monitor that re-induces a cluster-model over
-// g at minDensity from every window's aggregated cell counts and emits its
-// deviation from the reference model (ref may be nil with PreviousWindow).
-//
-// Deprecated: use NewMonitor with Cluster(g, minDensity); results are
-// bit-identical.
-func NewClusterMonitor(g *Grid, minDensity float64, ref *Dataset, opts MonitorOptions) (*ClusterMonitor, error) {
-	return stream.NewClusterMonitor(g, minDensity, ref, opts)
 }
 
 // UpperBoundMatrix returns pairwise delta*(g) distances over a collection of

@@ -71,18 +71,17 @@ func (n *trieNode) countIn(t txn.Transaction, counts []int) {
 }
 
 // CountItemsets returns, for each itemset in sets, the absolute number of
-// transactions of d containing it, computed in a single scan of d. The empty
-// itemset counts every transaction. This is the single-scan measure
-// computation FOCUS relies on when extending lits-models to their GCR
-// (Section 3.3.1).
+// transactions of d containing it, serially and through the backend
+// CounterAuto picks: one trie scan of d, or intersections over its
+// memoized vertical index. The empty itemset counts every transaction.
+// This is the single-scan measure computation FOCUS relies on when
+// extending lits-models to their GCR (Section 3.3.1).
 func CountItemsets(d *txn.Dataset, sets []Itemset) []int {
 	return CountItemsetsP(d, sets, 1)
 }
 
-// CountItemsetsP is CountItemsets with a parallelism knob; the backend is
-// the process-default Counter (CounterAuto unless overridden via
-// SetDefaultCounter). Counts are bit-identical for every backend and worker
-// count.
+// CountItemsetsP is CountItemsets with a parallelism knob. Counts are
+// bit-identical for every backend and worker count.
 func CountItemsetsP(d *txn.Dataset, sets []Itemset, parallelism int) []int {
 	return CountItemsetsC(d, sets, parallelism, CounterDefault)
 }

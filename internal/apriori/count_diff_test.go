@@ -198,9 +198,8 @@ func TestParseCounter(t *testing.T) {
 func TestInvalidCounterPanics(t *testing.T) {
 	d := randomCountDataset(10, 5, 80)
 	cases := map[string]func(){
-		"CountItemsetsC":    func() { CountItemsetsC(d, []Itemset{{0}}, 1, "btree") },
-		"SetDefaultCounter": func() { SetDefaultCounter("btree") },
-		"NewSource":         func() { NewSource(d, 1, "btree") },
+		"CountItemsetsC": func() { CountItemsetsC(d, []Itemset{{0}}, 1, "btree") },
+		"NewSource":      func() { NewSource(d, 1, "btree") },
 	}
 	for name, fn := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -211,21 +210,6 @@ func TestInvalidCounterPanics(t *testing.T) {
 			}()
 			fn()
 		})
-	}
-}
-
-func TestDefaultCounterOverride(t *testing.T) {
-	defer SetDefaultCounter(CounterDefault)
-	if got := DefaultCounter(); got != CounterAuto {
-		t.Fatalf("built-in default = %q, want auto", got)
-	}
-	SetDefaultCounter(CounterTrie)
-	if got := DefaultCounter(); got != CounterTrie {
-		t.Fatalf("default after SetDefaultCounter(trie) = %q", got)
-	}
-	SetDefaultCounter(CounterDefault)
-	if got := DefaultCounter(); got != CounterAuto {
-		t.Fatalf("default after reset = %q, want auto", got)
 	}
 }
 

@@ -36,11 +36,7 @@ const (
 // pair is a level-2 intersection). The vertical miner then handles the
 // depth dimension itself, switching tidsets to diffsets per level.
 func resolveMiner(c Counter, d *txn.Dataset, freqItems int) Miner {
-	MustCounter(c)
-	if c == CounterDefault {
-		c = DefaultCounter()
-	}
-	switch c {
+	switch resolveDefault(c) {
 	case CounterTrie:
 		return MinerLevelwise
 	case CounterBitmap:
@@ -83,8 +79,7 @@ type Engine struct {
 // NewEngine returns an engine over d with explicit parallelism and backend
 // knobs. Unknown counters panic at the construction site.
 func NewEngine(d *txn.Dataset, parallelism int, counter Counter) *Engine {
-	MustCounter(counter)
-	return &Engine{d: d, parallelism: parallelism, counter: counter}
+	return &Engine{d: d, parallelism: parallelism, counter: resolveDefault(counter)}
 }
 
 // NumTxns returns |D|.
@@ -103,11 +98,7 @@ func (e *Engine) ItemCounts() []int {
 	// which primes the memoized index the candidate passes will reuse; an
 	// already-memoized index serves pass 1 for free on any backend that
 	// would build (or has built) it anyway.
-	c := e.counter
-	if c == CounterDefault {
-		c = DefaultCounter()
-	}
-	if c == CounterBitmap || (c == CounterAuto && e.d.HasMemo()) {
+	if e.counter == CounterBitmap || (e.counter == CounterAuto && e.d.HasMemo()) {
 		e.pass1 = VerticalIndexOf(e.d, e.parallelism).ItemCounts()
 	} else {
 		e.pass1 = horizontalItemCounts(e.d, e.parallelism)

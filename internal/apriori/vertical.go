@@ -2,7 +2,6 @@ package apriori
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"focus/internal/bitset"
 	"focus/internal/parallel"
@@ -21,8 +20,8 @@ import (
 type Counter string
 
 const (
-	// CounterDefault resolves to the process default (SetDefaultCounter,
-	// e.g. from a CLI -counter flag), which itself defaults to CounterAuto.
+	// CounterDefault is the unset knob (the zero value, and what snapshots
+	// and requests that omit a counter carry); it means CounterAuto.
 	CounterDefault Counter = ""
 	// CounterAuto picks trie or bitmap per call from the dataset density
 	// and the candidate itemset volume.
@@ -34,7 +33,7 @@ const (
 )
 
 // ParseCounter validates a counter name ("auto", "trie" or "bitmap"; ""
-// means the process default).
+// means auto).
 func ParseCounter(name string) (Counter, error) {
 	switch c := Counter(name); c {
 	case CounterDefault, CounterAuto, CounterTrie, CounterBitmap:
@@ -44,36 +43,24 @@ func ParseCounter(name string) (Counter, error) {
 	}
 }
 
-// defaultCounter holds the backend a CounterDefault knob resolves to.
-var defaultCounter atomic.Value
-
-// SetDefaultCounter fixes the backend selected by a Counter knob of
-// CounterDefault — the counting analogue of parallel.SetDefault, intended
-// for process setup (a CLI -counter flag). Passing CounterDefault restores
-// the built-in default, CounterAuto. Unknown values panic (validate
-// free-form input with ParseCounter first): silently falling back would
-// run a backend the caller did not choose.
-func SetDefaultCounter(c Counter) {
-	MustCounter(c)
-	defaultCounter.Store(c)
-}
-
 // MustCounter panics on a Counter value outside the known vocabulary —
-// the guard for knobs set directly (Config literals, class constructors,
-// SetDefaultCounter) rather than through ParseCounter. Failing at the
-// call site beats silently running a backend the caller did not choose.
+// the guard for knobs set directly (Config literals, class constructors)
+// rather than through ParseCounter. Failing at the call site beats
+// silently running a backend the caller did not choose.
 func MustCounter(c Counter) {
 	if _, err := ParseCounter(string(c)); err != nil {
 		panic(err.Error())
 	}
 }
 
-// DefaultCounter returns the backend a CounterDefault knob resolves to.
-func DefaultCounter() Counter {
-	if c, ok := defaultCounter.Load().(Counter); ok && c != CounterDefault {
-		return c
+// resolveDefault validates c and maps CounterDefault to CounterAuto, the
+// one place the unset knob is given its meaning.
+func resolveDefault(c Counter) Counter {
+	MustCounter(c)
+	if c == CounterDefault {
+		return CounterAuto
 	}
-	return CounterAuto
+	return c
 }
 
 // autoIndexBytes caps the estimated vertical-index footprint (bytes) up to
@@ -84,11 +71,7 @@ const autoIndexBytes = 1 << 28
 // resolveCounter turns any Counter knob into a concrete backend for
 // counting nsets candidate itemsets against d.
 func resolveCounter(c Counter, d *txn.Dataset, nsets int) Counter {
-	MustCounter(c)
-	if c == CounterDefault {
-		c = DefaultCounter()
-	}
-	if c != CounterAuto {
+	if c = resolveDefault(c); c != CounterAuto {
 		return c
 	}
 	// An already-memoized index makes bitmap counting nearly free — no

@@ -142,11 +142,7 @@ func (v *View) countOne(s Itemset) int {
 // auto memory cap. One shared index amortizes over every replicate, so the
 // density probe of per-scan resolution does not apply.
 func UseViewBootstrap(c Counter, d *txn.Dataset) bool {
-	MustCounter(c)
-	if c == CounterDefault {
-		c = DefaultCounter()
-	}
-	switch c {
+	switch resolveDefault(c) {
 	case CounterTrie:
 		return false
 	case CounterBitmap:

@@ -40,11 +40,7 @@ const windowPairBytes = 1 << 26
 // unless the knob forces the trie everywhere or the pair table would be
 // outsized.
 func UseWindowMiner(c Counter, numItems int) bool {
-	MustCounter(c)
-	if c == CounterDefault {
-		c = DefaultCounter()
-	}
-	if c == CounterTrie {
+	if resolveDefault(c) == CounterTrie {
 		return false
 	}
 	return numItems > 0 && int64(numItems)*int64(numItems)*2 <= windowPairBytes

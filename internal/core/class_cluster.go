@@ -75,6 +75,11 @@ func (c clusterClass) NewWindow(parallelism int) (Window[*dataset.Dataset, *Clus
 	if c.grid == nil {
 		return nil, errNilGrid
 	}
+	// Reject the threshold before any batch arrives: every window induction
+	// would fail on it, after the batch had already entered the window.
+	if !(c.minDensity >= 0 && c.minDensity <= 1) {
+		return nil, fmt.Errorf("core: cluster minDensity %v outside [0,1]", c.minDensity)
+	}
 	return &clusterWindow{
 		grid:       c.grid,
 		minDensity: c.minDensity,

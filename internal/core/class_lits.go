@@ -18,7 +18,7 @@ type litsClass struct {
 }
 
 // Lits returns the lits-model class instance mining frequent itemsets at
-// the given minimum support, counting through the process-default backend.
+// the given minimum support, counting through the auto-selected backend.
 func Lits(minSupport float64) ModelClass[*txn.Dataset, *LitsModel] {
 	return LitsWithCounter(minSupport, apriori.CounterDefault)
 }
@@ -147,6 +147,11 @@ func (c litsClass) newReplicate(pool *txn.Dataset, cfg *Config) (replicateFunc, 
 }
 
 func (c litsClass) NewWindow(parallelism int) (Window[*txn.Dataset, *LitsModel], error) {
+	// Reject the threshold before any batch arrives: every window induction
+	// would fail on it, after the batch had already entered the window.
+	if !(c.minSupport > 0 && c.minSupport <= 1) {
+		return nil, fmt.Errorf("core: lits minimum support %v outside (0,1]", c.minSupport)
+	}
 	return &litsWindow{
 		minSupport:  c.minSupport,
 		counter:     c.counter,

@@ -51,66 +51,9 @@ func BuildClusterModel(d *dataset.Dataset, g *cluster.Grid, minDensity float64) 
 // NumClusters returns the number of regions in the structural component.
 func (m *ClusterModel) NumClusters() int { return m.M.NumClusters }
 
-// ClusterOptions tunes a cluster-model deviation computation.
-type ClusterOptions struct {
-	// Parallelism shards the two labeling scans across workers: 0 uses the
-	// process default (GOMAXPROCS unless overridden by a -parallelism
-	// flag), 1 forces the exact serial path, n >= 2 uses n workers. The
-	// deviation is bit-identical for every setting: per-shard integer
-	// label-pair counts are merged in shard order and the f/g reduction
-	// runs over the label pairs in sorted (c1, c2) order.
-	Parallelism int
-}
-
 // errGridMismatch is the shared grid-alignment error of every cluster GCR
 // path.
 var errGridMismatch = errors.New("core: cluster-models over different grids have no cell-aligned GCR")
-
-// ClusterDeviation computes delta(f,g) between d1 and d2 through their
-// cluster-models m1 and m2, which must share one grid. The GCR regions are
-// the non-empty label pairs (c1, c2) of the overlay, excluding the pair
-// (Outside, Outside), which belongs to neither structural component —
-// cluster-model structural components are non-exhaustive (Section 2.4).
-//
-// Deprecated: ClusterDeviation is an alias of ClusterDeviationWith with
-// zero options; use Deviation with the Cluster model class.
-func ClusterDeviation(m1, m2 *ClusterModel, d1, d2 *dataset.Dataset, f DiffFunc, g AggFunc) (float64, error) {
-	return ClusterDeviationWith(m1, m2, d1, d2, f, g, ClusterOptions{})
-}
-
-// ClusterDeviationWith is ClusterDeviation with options. The two labeling
-// scans reduce each dataset to per-cell counts (both models share the grid,
-// so a tuple's label pair is a function of its cell alone); the deviation is
-// then computed from the cell counts.
-//
-// Deprecated: use Deviation with the Cluster model class;
-// ClusterDeviationWith is a thin wrapper kept for compatibility and
-// produces bit-identical results.
-func ClusterDeviationWith(m1, m2 *ClusterModel, d1, d2 *dataset.Dataset, f DiffFunc, g AggFunc, opts ClusterOptions) (float64, error) {
-	cfg := Config{Parallelism: opts.Parallelism}
-	regions, err := clusterClass{}.MeasureGCR(m1, m2, d1, d2, &cfg)
-	if err != nil {
-		return 0, err
-	}
-	return Deviation1(regions, float64(d1.Len()), float64(d2.Len()), f, g), nil
-}
-
-// ClusterDeviationFromCells computes the cluster-model deviation from
-// precomputed per-cell counts over the models' shared grid (as produced by
-// cluster.CellCounts), returning the deviation and the number of GCR
-// regions it aggregated. It is the shared reduction of
-// ClusterDeviationWith and the incremental monitor (internal/stream): the
-// GCR regions are the non-empty label pairs (c1, c2) of the overlay, their
-// measures are integer sums of cell counts, and the f/g reduction runs
-// over the pairs in sorted (c1, c2) order — so any two ways of producing
-// equal cell counts yield bit-identical deviations.
-func ClusterDeviationFromCells(m1, m2 *ClusterModel, cells1, cells2 []int, n1, n2 int, f DiffFunc, g AggFunc) (float64, int, error) {
-	regions, err := clusterRegionsFromCells(m1, m2, cells1, cells2)
-	if err != nil {
-		return 0, 0, err
-	}
-	return Deviation1(regions, float64(n1), float64(n2), f, g), len(regions), nil
-}
 
 // clusterRegionsFromCells assembles the measured GCR regions of two
 // cell-aligned cluster-models from per-cell counts: the non-empty label

@@ -95,7 +95,7 @@ func TestInvariantsLits(t *testing.T) {
 		}
 		for _, fg := range invariantFG() {
 			// delta(D,D) = 0, exactly.
-			self, err := LitsDeviation(m1, m1, d1, d1, fg.f, fg.g, LitsOptions{})
+			self, err := Deviation(Lits(minSupport), m1, m1, d1, d1, fg.f, fg.g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,11 +103,11 @@ func TestInvariantsLits(t *testing.T) {
 				t.Errorf("seed %d %s: delta(D,D) = %v, want 0", seed, fg.name, self)
 			}
 			// Symmetry under argument swap.
-			ab, err := LitsDeviation(m1, m2, d1, d2, fg.f, fg.g, LitsOptions{})
+			ab, err := Deviation(Lits(minSupport), m1, m2, d1, d2, fg.f, fg.g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ba, err := LitsDeviation(m2, m1, d2, d1, fg.f, fg.g, LitsOptions{})
+			ba, err := Deviation(Lits(minSupport), m2, m1, d2, d1, fg.f, fg.g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func TestInvariantsLits(t *testing.T) {
 				t.Errorf("seed %d %s: deviation %v < 0", seed, fg.name, ab)
 			}
 			// Focussing on everything changes nothing, exactly.
-			full, err := LitsDeviation(m1, m2, d1, d2, fg.f, fg.g, LitsOptions{Focus: func(apriori.Itemset) bool { return true }})
+			full, err := Deviation(Lits(minSupport), m1, m2, d1, d2, fg.f, fg.g, WithFocusItemsets(func(apriori.Itemset) bool { return true }))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,11 +129,11 @@ func TestInvariantsLits(t *testing.T) {
 		}
 		// Max <= Sum for both difference functions.
 		for _, f := range []DiffFunc{AbsoluteDiff, ScaledDiff} {
-			sum, err := LitsDeviation(m1, m2, d1, d2, f, Sum, LitsOptions{})
+			sum, err := Deviation(Lits(minSupport), m1, m2, d1, d2, f, Sum)
 			if err != nil {
 				t.Fatal(err)
 			}
-			max, err := LitsDeviation(m1, m2, d1, d2, f, Max, LitsOptions{})
+			max, err := Deviation(Lits(minSupport), m1, m2, d1, d2, f, Max)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,18 +157,18 @@ func TestInvariantsDT(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, fg := range invariantFG() {
-			self, err := DTDeviation(m1, m1, d1, d1, fg.f, fg.g, DTOptions{})
+			self, err := Deviation(DT(cfg), m1, m1, d1, d1, fg.f, fg.g)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if self != 0 {
 				t.Errorf("seed %d %s: delta(D,D) = %v, want 0", seed, fg.name, self)
 			}
-			ab, err := DTDeviation(m1, m2, d1, d2, fg.f, fg.g, DTOptions{})
+			ab, err := Deviation(DT(cfg), m1, m2, d1, d2, fg.f, fg.g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ba, err := DTDeviation(m2, m1, d2, d1, fg.f, fg.g, DTOptions{})
+			ba, err := Deviation(DT(cfg), m2, m1, d2, d1, fg.f, fg.g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +178,7 @@ func TestInvariantsDT(t *testing.T) {
 			if ab < 0 {
 				t.Errorf("seed %d %s: deviation %v < 0", seed, fg.name, ab)
 			}
-			full, err := DTDeviation(m1, m2, d1, d2, fg.f, fg.g, DTOptions{Focus: region.Full(d1.Schema)})
+			full, err := Deviation(DT(cfg), m1, m2, d1, d2, fg.f, fg.g, WithFocus(region.Full(d1.Schema)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,11 +187,11 @@ func TestInvariantsDT(t *testing.T) {
 			}
 		}
 		for _, f := range []DiffFunc{AbsoluteDiff, ScaledDiff} {
-			sum, err := DTDeviation(m1, m2, d1, d2, f, Sum, DTOptions{})
+			sum, err := Deviation(DT(cfg), m1, m2, d1, d2, f, Sum)
 			if err != nil {
 				t.Fatal(err)
 			}
-			max, err := DTDeviation(m1, m2, d1, d2, f, Max, DTOptions{})
+			max, err := Deviation(DT(cfg), m1, m2, d1, d2, f, Max)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,18 +220,18 @@ func TestInvariantsCluster(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, fg := range invariantFG() {
-			self, err := ClusterDeviation(m1, m1, d1, d1, fg.f, fg.g)
+			self, err := Deviation(Cluster(grid, minDensity), m1, m1, d1, d1, fg.f, fg.g)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if self != 0 {
 				t.Errorf("seed %d %s: delta(D,D) = %v, want 0", seed, fg.name, self)
 			}
-			ab, err := ClusterDeviation(m1, m2, d1, d2, fg.f, fg.g)
+			ab, err := Deviation(Cluster(grid, minDensity), m1, m2, d1, d2, fg.f, fg.g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ba, err := ClusterDeviation(m2, m1, d2, d1, fg.f, fg.g)
+			ba, err := Deviation(Cluster(grid, minDensity), m2, m1, d2, d1, fg.f, fg.g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,11 +243,11 @@ func TestInvariantsCluster(t *testing.T) {
 			}
 		}
 		for _, f := range []DiffFunc{AbsoluteDiff, ScaledDiff} {
-			sum, err := ClusterDeviation(m1, m2, d1, d2, f, Sum)
+			sum, err := Deviation(Cluster(grid, minDensity), m1, m2, d1, d2, f, Sum)
 			if err != nil {
 				t.Fatal(err)
 			}
-			max, err := ClusterDeviation(m1, m2, d1, d2, f, Max)
+			max, err := Deviation(Cluster(grid, minDensity), m1, m2, d1, d2, f, Max)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -71,53 +71,6 @@ func GCRItemsets(m1, m2 *LitsModel) []apriori.Itemset {
 	return out
 }
 
-// LitsOptions tunes a lits-model deviation computation.
-type LitsOptions struct {
-	// Focus, when non-nil, keeps only the GCR itemsets for which it returns
-	// true — the declarative region selection of Section 5 specialized to
-	// the frequent-itemset domain (e.g. "itemsets over the shoe
-	// department's items").
-	Focus func(apriori.Itemset) bool
-
-	// Parallelism shards the two dataset scans across workers: 0 uses the
-	// process default (GOMAXPROCS unless overridden by a -parallelism
-	// flag), 1 forces the exact serial path, n >= 2 uses n workers. The
-	// deviation is bit-identical for every setting: per-shard integer
-	// count vectors are merged in shard order and the f/g reduction stays
-	// serial over the fixed GCR itemset order.
-	Parallelism int
-}
-
-// LitsDeviation computes delta(f,g) between the datasets d1 and d2 through
-// their lits-models m1 and m2 (Definition 3.6): both models are extended to
-// their GCR by counting every GCR itemset's support in each dataset (one
-// scan per dataset), and the per-region differences are aggregated.
-//
-// Deprecated: use Deviation with the Lits model class; LitsDeviation is a
-// thin wrapper kept for compatibility and produces bit-identical results.
-func LitsDeviation(m1, m2 *LitsModel, d1, d2 *txn.Dataset, f DiffFunc, g AggFunc, opts LitsOptions) (float64, error) {
-	cfg := Config{FocusItemsets: opts.Focus, Parallelism: opts.Parallelism}
-	regions, err := litsClass{}.MeasureGCR(m1, m2, d1, d2, &cfg)
-	if err != nil {
-		return 0, err
-	}
-	return Deviation1(regions, float64(d1.Len()), float64(d2.Len()), f, g), nil
-}
-
-// LitsDeviationFromCounts computes delta_1(f,g) from the absolute support
-// counts of a common refinement's itemsets in each dataset (c1 and c2 must
-// be aligned to the same itemset order). It is the shared reduction of
-// LitsDeviation and the incremental monitor (internal/stream): both paths
-// produce the same integer counts in the same GCR order, so their float64
-// deviations are bit-identical.
-func LitsDeviationFromCounts(c1, c2 []int, n1, n2 int, f DiffFunc, g AggFunc) float64 {
-	regions := make([]MeasuredRegion, len(c1))
-	for i := range c1 {
-		regions[i] = MeasuredRegion{Alpha1: float64(c1[i]), Alpha2: float64(c2[i])}
-	}
-	return Deviation1(regions, float64(n1), float64(n2), f, g)
-}
-
 // LitsDeviationOverRefinement computes delta_1(f,g) over an arbitrary common
 // refinement given as an explicit itemset collection, used to verify
 // Theorem 4.1 (the GCR yields the least deviation over all common
@@ -156,22 +109,4 @@ func LitsUpperBound(m1, m2 *LitsModel, g AggFunc) float64 {
 		diffs[i] = AbsoluteDiff(a1, a2, n1, n2)
 	}
 	return g(diffs)
-}
-
-// LitsSupports returns, for each GCR itemset, its support in each model
-// (zero when the itemset is not frequent in that model) — the quantity
-// delta* is built from; exposed for the examples and the CLI.
-func LitsSupports(m1, m2 *LitsModel) (gcr []apriori.Itemset, sup1, sup2 []float64) {
-	gcr = GCRItemsets(m1, m2)
-	sup1 = make([]float64, len(gcr))
-	sup2 = make([]float64, len(gcr))
-	for i, s := range gcr {
-		if j := m1.FS.Lookup(s); j >= 0 {
-			sup1[i] = m1.FS.Support(j)
-		}
-		if j := m2.FS.Lookup(s); j >= 0 {
-			sup2[i] = m2.FS.Support(j)
-		}
-	}
-	return gcr, sup1, sup2
 }

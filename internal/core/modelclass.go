@@ -107,8 +107,7 @@ type Window[D, M any] interface {
 
 // Config is the one options struct of the unified pipeline, assembled from
 // functional options (WithParallelism, WithFocus, ...). Its zero value is
-// ready to use. The deprecated per-class options structs (LitsOptions,
-// DTOptions, ClusterOptions, QualifyOptions) convert into it.
+// ready to use.
 type Config struct {
 	// F is the difference function of a monitor emission (default
 	// AbsoluteDiff). The batch pipelines take f positionally.
@@ -123,11 +122,10 @@ type Config struct {
 	Parallelism int
 
 	// Counter selects the itemset-support counting backend of lits-model
-	// scans ("" = the process default, overridable via
-	// apriori.SetDefaultCounter / a -counter flag; "auto" picks per call by
-	// density × candidate volume; "trie"/"bitmap" force a backend). Counts
-	// — and everything induced from them — are bit-identical for every
-	// setting. Ignored by classes that do not count itemsets.
+	// scans ("" or "auto" picks per call by density × candidate volume;
+	// "trie"/"bitmap" force a backend). Counts — and everything induced
+	// from them — are bit-identical for every setting. Ignored by classes
+	// that do not count itemsets.
 	Counter apriori.Counter
 
 	// FocusRegion, when non-nil, restricts dt-model deviations to the given
@@ -184,8 +182,8 @@ func NewConfig(opts ...Option) Config {
 	return cfg
 }
 
-// WithConfig replaces the whole configuration — the bridge from the
-// deprecated options structs to the unified pipeline.
+// WithConfig replaces the whole configuration, for callers that already
+// hold an assembled Config (a monitor's bootstrap, a replayed session).
 func WithConfig(c Config) Option { return func(dst *Config) { *dst = c } }
 
 // WithParallelism selects the worker count (0 = process default, 1 =
@@ -274,8 +272,7 @@ type Report struct {
 // class (Definition 3.6): both models are extended to their GCR, every
 // refined region is measured against both datasets, and the per-region
 // differences are aggregated. It is the single deviation pipeline every
-// model class flows through; LitsDeviation, DTDeviation and
-// ClusterDeviation(With) are deprecated wrappers over it.
+// model class flows through.
 func Deviation[D, M any](mc ModelClass[D, M], m1, m2 M, d1, d2 D, f DiffFunc, g AggFunc, opts ...Option) (float64, error) {
 	cfg := NewConfig(opts...)
 	regions, err := mc.MeasureGCR(m1, m2, d1, d2, &cfg)
@@ -327,9 +324,7 @@ func RankRegions[D, M any](mc ModelClass[D, M], m1, m2 M, d1, d2 D, f DiffFunc, 
 // (Section 3.4): the datasets are pooled, resample pairs of the original
 // sizes re-induce models and recompute the deviation, and sig(d) is the
 // percentage of that null distribution below the observed deviation. It is
-// the single qualification pipeline for every model class — including
-// cluster-models, which had no qualification before it — and QualifyLits /
-// QualifyDT are deprecated wrappers over it.
+// the single qualification pipeline for every model class.
 func Qualify[D, M any](mc ModelClass[D, M], d1, d2 D, f DiffFunc, g AggFunc, opts ...Option) (Qualification, error) {
 	cfg := NewConfig(opts...)
 	if mc.Len(d1) == 0 || mc.Len(d2) == 0 {

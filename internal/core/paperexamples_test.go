@@ -127,7 +127,7 @@ func TestFigure6Deviation(t *testing.T) {
 	m1, _ := MineLits(d1, 0.2)
 	m2, _ := MineLits(d2, 0.2)
 
-	sum, err := LitsDeviation(m1, m2, d1, d2, AbsoluteDiff, Sum, LitsOptions{})
+	sum, err := Deviation(Lits(0.2), m1, m2, d1, d2, AbsoluteDiff, Sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestFigure6Deviation(t *testing.T) {
 		t.Errorf("delta(f_a,g_sum) = %v, want 1.25", sum)
 	}
 
-	max, err := LitsDeviation(m1, m2, d1, d2, AbsoluteDiff, Max, LitsOptions{})
+	max, err := Deviation(Lits(0.2), m1, m2, d1, d2, AbsoluteDiff, Max)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +164,8 @@ func TestFigure6UpperBound(t *testing.T) {
 		t.Errorf("delta*(g_max) = %v, want 0.5", gotMax)
 	}
 	// Theorem 4.2(1): the bound dominates the true deviation.
-	devSum, _ := LitsDeviation(m1, m2, d1, d2, AbsoluteDiff, Sum, LitsOptions{})
-	devMax, _ := LitsDeviation(m1, m2, d1, d2, AbsoluteDiff, Max, LitsOptions{})
+	devSum, _ := Deviation(Lits(0.2), m1, m2, d1, d2, AbsoluteDiff, Sum)
+	devMax, _ := Deviation(Lits(0.2), m1, m2, d1, d2, AbsoluteDiff, Max)
 	if gotSum < devSum || gotMax < devMax {
 		t.Errorf("upper bound below deviation: sum %v<%v or max %v<%v", gotSum, devSum, gotMax, devMax)
 	}
@@ -279,7 +279,7 @@ func TestFigure5DeviationClassC1(t *testing.T) {
 
 	// Focus on class C1 regions only, as the paper's example computes.
 	focusC1 := region.Full(figure5Schema()).ConstrainClass(0)
-	dev, err := DTDeviation(m1, m2, d1, d2, AbsoluteDiff, Sum, DTOptions{Focus: focusC1})
+	dev, err := Deviation(DT(dtree.Config{}), m1, m2, d1, d2, AbsoluteDiff, Sum, WithFocus(focusC1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestFigure5FocussedDeviationAgeUnder30(t *testing.T) {
 	// Section 2.3: focus on age < 30 (our boxes are half-open, so age <= 30
 	// selects the same three leftmost GCR regions) and class C1.
 	focus := region.Full(figure5Schema()).ConstrainUpper(0, 30).ConstrainClass(0)
-	dev, err := DTDeviation(m1, m2, d1, d2, AbsoluteDiff, Sum, DTOptions{Focus: focus})
+	dev, err := Deviation(DT(dtree.Config{}), m1, m2, d1, d2, AbsoluteDiff, Sum, WithFocus(focus))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,12 +312,11 @@ func TestFigure5FullDeviationIncludesC2(t *testing.T) {
 	m1 := &DTModel{Tree: figure5T1(t), N: 200}
 	m2 := &DTModel{Tree: figure5T2(t), N: 200}
 	d1, d2 := figure5D1(), figure5D2()
-	full, err := DTDeviation(m1, m2, d1, d2, AbsoluteDiff, Sum, DTOptions{})
+	full, err := Deviation(DT(dtree.Config{}), m1, m2, d1, d2, AbsoluteDiff, Sum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1Only, _ := DTDeviation(m1, m2, d1, d2, AbsoluteDiff, Sum,
-		DTOptions{Focus: region.Full(figure5Schema()).ConstrainClass(0)})
+	c1Only, _ := Deviation(DT(dtree.Config{}), m1, m2, d1, d2, AbsoluteDiff, Sum, WithFocus(region.Full(figure5Schema()).ConstrainClass(0)))
 	if full < c1Only {
 		t.Errorf("full deviation %v < C1-only deviation %v", full, c1Only)
 	}

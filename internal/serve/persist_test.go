@@ -347,6 +347,64 @@ func TestDurableUnrestorableSkipped(t *testing.T) {
 	}
 }
 
+// TestDurableOutOfRangeSessionSkipped pins how a data directory written
+// before creation range-checked the density threshold restores: the
+// session's snapshot names a min_density outside [0,1], which no longer
+// binds, so OpenRegistry skips it with a warning naming it while healthy
+// sessions still restore.
+func TestDurableOutOfRangeSessionSkipped(t *testing.T) {
+	dir := t.TempDir()
+	r1, _, err := serve.OpenRegistry(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"ok", "bad"} {
+		if _, err := r1.Create(parseConfig(t, prevWindowCluster(name, 0.05))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r1.Close()
+
+	// Rewrite the snapshot's config as an older server would have accepted
+	// it.
+	path := filepath.Join(dir, "sessions", "bad", "snapshot.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	var cfg map[string]any
+	if err := json.Unmarshal(snap["config"], &cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg["min_density"] = 2
+	if snap["config"], err = json.Marshal(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err = json.Marshal(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r2, warns, err := serve.OpenRegistry(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	if len(warns) != 1 || !strings.Contains(warns[0].Error(), `"bad"`) ||
+		!strings.Contains(warns[0].Error(), "minDensity 2 outside [0,1]") {
+		t.Fatalf("warnings = %v, want one naming the bad session and its threshold", warns)
+	}
+	if names := r2.Names(); len(names) != 1 || names[0] != "ok" {
+		t.Fatalf("restored %v, want [ok]", names)
+	}
+}
+
 // TestConcurrentCreate races G creates of one name: exactly one must win
 // with 201 and the rest 409, and the reservation must be taken before the
 // expensive model bind (two racing winners would both publish otherwise —

@@ -27,6 +27,22 @@ func clusterSession(name string) string {
 	}`, name, uniformRows())
 }
 
+// prevWindowCluster returns a create payload for a cluster session without
+// reference rows (previous_window) at the given density threshold: nothing
+// is induced at creation, so only an up-front range check can reject it.
+func prevWindowCluster(name string, minDensity float64) string {
+	return fmt.Sprintf(`{
+		"name": %q,
+		"model": "cluster",
+		"schema": {"attrs": [{"name": "x", "kind": "numeric", "min": 0, "max": 100}]},
+		"grid_attrs": ["x"],
+		"grid_bins": 4,
+		"min_density": %v,
+		"window": 1,
+		"previous_window": true
+	}`, name, minDensity)
+}
+
 // uniformRows spreads 40 rows evenly over the 4 cells of the grid.
 func uniformRows() string {
 	var rows []string
@@ -160,6 +176,9 @@ func TestCreateSessionValidation(t *testing.T) {
 		{"cluster missing reference", `{"name": "m", "model": "cluster", "grid_attrs": ["x"],
 			"schema": {"attrs": [{"name": "x", "kind": "numeric", "min": 0, "max": 1}]}}`, 400},
 		{"cluster bad reference row", strings.Replace(clusterSession("m"), `{"x": 10}`, `{"x": 200}`, 1), 400},
+		{"cluster previous window min_density 2", prevWindowCluster("m", 2), 400},
+		{"cluster previous window min_density -0.5", prevWindowCluster("m", -0.5), 400},
+		{"cluster previous window", prevWindowCluster("ok-pw", 0.05), 201},
 		{"lits missing universe", `{"name": "m", "model": "lits", "min_support": 0.1, "reference": [[0]]}`, 400},
 		{"lits bad support", `{"name": "m", "model": "lits", "num_items": 5, "min_support": 2, "reference": [[0]]}`, 400},
 		{"lits item outside universe", `{"name": "m", "model": "lits", "num_items": 5, "min_support": 0.1, "reference": [[9]]}`, 400},

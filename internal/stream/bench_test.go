@@ -24,13 +24,16 @@ func BenchmarkLitsMonitorIncremental(b *testing.B) {
 	b.ReportAllocs()
 	ref, batches := benchStream(b)
 	const minSupport = 0.02
-	mon, err := NewLitsMonitor(ref, minSupport, Options{WindowBatches: 8, Parallelism: 1})
+	mon, err := New(core.Lits(minSupport), ref, Options{WindowBatches: 8, Parallelism: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mon.Ingest(batches[i%len(batches)]); err != nil {
+		// A fresh batch dataset per ingest, as a producer would send it: no
+		// memoized index carries over from an earlier pass over the same
+		// transactions.
+		if _, err := mon.Ingest(txnBatch(ref.NumItems, batches[i%len(batches)])); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -134,6 +134,12 @@ func randTxnBatches(seed int64, batches, size, numItems, maxLen int) [][]txn.Tra
 	return out
 }
 
+// txnBatch wraps one batch of transactions as the dataset a monitor
+// ingests.
+func txnBatch(numItems int, b []txn.Transaction) *txn.Dataset {
+	return &txn.Dataset{NumItems: numItems, Txns: b}
+}
+
 func concatTxns(numItems int, batches [][]txn.Transaction, idx []int) *txn.Dataset {
 	d := txn.New(numItems)
 	for _, i := range idx {
@@ -169,7 +175,7 @@ func concatTuples(s *dataset.Schema, batches [][]dataset.Tuple, idx []int) *data
 // contract for lits-models: at every emission, for every window policy,
 // f/g combination and parallelism in {1,4}, the monitor's deviation is
 // bit-identical (==) to mining the window's model from its raw batches and
-// running the batch LitsDeviation.
+// running the batch Deviation.
 func TestLitsMonitorEquivalence(t *testing.T) {
 	const (
 		numItems   = 30
@@ -184,7 +190,7 @@ func TestLitsMonitorEquivalence(t *testing.T) {
 				opts := pc.opts
 				opts.F, opts.G, opts.Parallelism = fg.f, fg.g, par
 				name := pc.name + "/" + fg.name + "/par" + string(rune('0'+par))
-				mon, err := NewLitsMonitor(ref, minSupport, opts)
+				mon, err := New(core.Lits(minSupport), ref, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -192,7 +198,7 @@ func TestLitsMonitorEquivalence(t *testing.T) {
 				s := &sim{opts: opts, hasPrev: true}
 				emitted := 0
 				for i, b := range batches {
-					rep, err := mon.IngestEpoch(epochOf(i), b)
+					rep, err := mon.IngestEpoch(epochOf(i), txnBatch(numItems, b))
 					if err != nil {
 						t.Fatalf("%s: ingest %d: %v", name, i, err)
 					}
@@ -269,14 +275,14 @@ func TestDTMonitorEquivalence(t *testing.T) {
 				if !opts.PreviousWindow {
 					ref = refD
 				}
-				mon, err := NewDTMonitor(tree, ref, opts)
+				mon, err := New(core.PinnedDT(tree), ref, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				s := &sim{opts: opts, hasPrev: ref != nil}
 				emitted := 0
 				for i, b := range batches {
-					rep, err := mon.IngestEpoch(epochOf(i), b)
+					rep, err := mon.IngestEpoch(epochOf(i), dataset.FromTuples(tree.Schema, b))
 					if err != nil {
 						t.Fatalf("%s: ingest %d: %v", name, i, err)
 					}
@@ -311,7 +317,7 @@ func TestDTMonitorEquivalence(t *testing.T) {
 
 // TestClusterMonitorEquivalence: same contract for cluster-models — the
 // window model is re-induced from aggregated cell counts and must match
-// BuildClusterModel + ClusterDeviationWith on the rebuilt window.
+// BuildClusterModel + Deviation on the rebuilt window.
 func TestClusterMonitorEquivalence(t *testing.T) {
 	schema := classgen.Schema()
 	grid, err := cluster.NewGrid(schema, []int{classgen.AttrSalary, classgen.AttrAge}, 6)
@@ -337,14 +343,14 @@ func TestClusterMonitorEquivalence(t *testing.T) {
 				if !opts.PreviousWindow {
 					ref = refD
 				}
-				mon, err := NewClusterMonitor(grid, minDensity, ref, opts)
+				mon, err := New(core.Cluster(grid, minDensity), ref, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				s := &sim{opts: opts, hasPrev: ref != nil}
 				emitted := 0
 				for i, b := range batches {
-					rep, err := mon.IngestEpoch(epochOf(i), b)
+					rep, err := mon.IngestEpoch(epochOf(i), dataset.FromTuples(schema, b))
 					if err != nil {
 						t.Fatalf("%s: ingest %d: %v", name, i, err)
 					}
@@ -369,7 +375,7 @@ func TestClusterMonitorEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := core.ClusterDeviationWith(m1, m2, refData, winData, fg.f, fg.g, core.ClusterOptions{Parallelism: par})
+					want, err := core.Deviation(core.Cluster(grid, minDensity), m1, m2, refData, winData, fg.f, fg.g, core.WithParallelism(par))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -390,13 +396,13 @@ func TestClusterMonitorEquivalence(t *testing.T) {
 func TestSlidingWindowContents(t *testing.T) {
 	batches := randTxnBatches(5, 5, 10, 20, 5)
 	ref := concatTxns(20, batches, []int{0})
-	mon, err := NewLitsMonitor(ref, 0.1, Options{WindowBatches: 2})
+	mon, err := New(core.Lits(0.1), ref, Options{WindowBatches: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantBatches := []int{1, 2, 2, 2, 2}
 	for i, b := range batches {
-		rep, err := mon.Ingest(b)
+		rep, err := mon.Ingest(txnBatch(20, b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,12 +421,12 @@ func TestSlidingWindowContents(t *testing.T) {
 func TestTumblingWindowEmitsOnFull(t *testing.T) {
 	batches := randTxnBatches(6, 6, 10, 20, 5)
 	ref := concatTxns(20, batches, []int{0})
-	mon, err := NewLitsMonitor(ref, 0.1, Options{WindowBatches: 3, Tumbling: true})
+	mon, err := New(core.Lits(0.1), ref, Options{WindowBatches: 3, Tumbling: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range batches {
-		rep, err := mon.Ingest(b)
+		rep, err := mon.Ingest(txnBatch(20, b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -440,7 +446,7 @@ func TestTumblingWindowEmitsOnFull(t *testing.T) {
 func TestEpochWindowExpiry(t *testing.T) {
 	batches := randTxnBatches(7, 6, 10, 20, 5)
 	ref := concatTxns(20, batches, []int{0})
-	mon, err := NewLitsMonitor(ref, 0.1, Options{EpochWindow: 2})
+	mon, err := New(core.Lits(0.1), ref, Options{EpochWindow: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +454,7 @@ func TestEpochWindowExpiry(t *testing.T) {
 	epochs := []int64{0, 0, 1, 3, 3, 4}
 	wantBatches := []int{1, 2, 3, 1, 2, 3}
 	for i, b := range batches {
-		rep, err := mon.IngestEpoch(epochs[i], b)
+		rep, err := mon.IngestEpoch(epochs[i], txnBatch(20, b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -470,7 +476,7 @@ func TestMonitorAlertOnDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	var alerts []Report
-	mon, err := NewDTMonitor(tree, train, Options{
+	mon, err := New(core.PinnedDT(tree), train, Options{
 		WindowBatches: 1,
 		Threshold:     0.15,
 		OnAlert:       func(r Report) { alerts = append(alerts, r) },
@@ -486,11 +492,11 @@ func TestMonitorAlertOnDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repSame, err := mon.Ingest(same.Tuples)
+	repSame, err := mon.Ingest(same)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repDrift, err := mon.Ingest(drift.Tuples)
+	repDrift, err := mon.Ingest(drift)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,13 +518,13 @@ func TestMonitorQualifyDeterministic(t *testing.T) {
 	batches := randTxnBatches(71, 3, 40, 25, 6)
 	ref := concatTxns(25, randTxnBatches(72, 2, 60, 25, 6), []int{0, 1})
 	run := func() []Report {
-		mon, err := NewLitsMonitor(ref, 0.08, Options{WindowBatches: 2, Qualify: true, Replicates: 19, Seed: 5})
+		mon, err := New(core.Lits(0.08), ref, Options{WindowBatches: 2, Qualify: true, Replicates: 19, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var out []Report
 		for _, b := range batches {
-			rep, err := mon.Ingest(b)
+			rep, err := mon.Ingest(txnBatch(25, b))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -555,25 +561,25 @@ func TestMonitorQualifyDeterministic(t *testing.T) {
 func TestMonitorEpochRegressionError(t *testing.T) {
 	batches := randTxnBatches(81, 2, 10, 20, 5)
 	ref := concatTxns(20, batches, []int{0})
-	mon, err := NewLitsMonitor(ref, 0.1, Options{WindowBatches: 2})
+	mon, err := New(core.Lits(0.1), ref, Options{WindowBatches: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mon.IngestEpoch(5, batches[0]); err != nil {
+	if _, err := mon.IngestEpoch(5, txnBatch(20, batches[0])); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mon.IngestEpoch(4, batches[1]); err == nil {
+	if _, err := mon.IngestEpoch(4, txnBatch(20, batches[1])); err == nil {
 		t.Fatal("regressing epoch did not error")
 	}
 }
 
 func TestMonitorInvalidBatch(t *testing.T) {
 	ref := concatTxns(10, randTxnBatches(91, 1, 10, 10, 4), []int{0})
-	mon, err := NewLitsMonitor(ref, 0.1, Options{WindowBatches: 2})
+	mon, err := New(core.Lits(0.1), ref, Options{WindowBatches: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mon.Ingest([]txn.Transaction{{3, 99}}); err == nil {
+	if _, err := mon.Ingest(txnBatch(10, []txn.Transaction{{3, 99}})); err == nil {
 		t.Fatal("out-of-universe item did not error")
 	} else if !strings.Contains(err.Error(), "invalid batch") {
 		t.Fatalf("unexpected error: %v", err)
@@ -587,11 +593,11 @@ func TestMonitorInvalidBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dmon, err := NewDTMonitor(tree, train, Options{WindowBatches: 1})
+	dmon, err := New(core.PinnedDT(tree), train, Options{WindowBatches: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dmon.Ingest([]dataset.Tuple{{1, 2}}); err == nil {
+	if _, err := dmon.Ingest(dataset.FromTuples(tree.Schema, []dataset.Tuple{{1, 2}})); err == nil {
 		t.Fatal("wrong-arity tuple did not error")
 	}
 }
@@ -618,28 +624,37 @@ func TestGenericMonitorNilGuards(t *testing.T) {
 
 func TestMonitorOptionValidation(t *testing.T) {
 	ref := concatTxns(10, randTxnBatches(93, 1, 10, 10, 4), []int{0})
-	if _, err := NewLitsMonitor(ref, 0.1, Options{}); err == nil {
+	lits := core.Lits(0.1)
+	if _, err := New(lits, ref, Options{}); err == nil {
 		t.Error("WindowBatches 0 without EpochWindow did not error")
 	}
-	if _, err := NewLitsMonitor(ref, 0.1, Options{EpochWindow: 2, Tumbling: true}); err == nil {
+	if _, err := New(lits, ref, Options{EpochWindow: 2, Tumbling: true}); err == nil {
 		t.Error("tumbling epoch window did not error")
 	}
-	if _, err := NewLitsMonitor(ref, 0.1, Options{EpochWindow: 2, WindowBatches: 3}); err == nil {
+	if _, err := New(lits, ref, Options{EpochWindow: 2, WindowBatches: 3}); err == nil {
 		t.Error("both window kinds did not error")
 	}
-	if _, err := NewLitsMonitor(ref, 0.1, Options{WindowBatches: 1, FocusItemsets: func(apriori.Itemset) bool { return true }}); err == nil {
+	if _, err := New(lits, ref, Options{WindowBatches: 1, FocusItemsets: func(apriori.Itemset) bool { return true }}); err == nil {
 		t.Error("unsupported focus option did not error")
 	}
-	if _, err := NewLitsMonitor(ref, 0.1, Options{WindowBatches: 1, Extension: true}); err == nil {
+	if _, err := New(lits, ref, Options{WindowBatches: 1, Extension: true}); err == nil {
 		t.Error("unsupported Extension option did not error")
 	}
-	if _, err := NewLitsMonitor(ref, 1.5, Options{WindowBatches: 1}); err == nil {
+	if _, err := New(core.Lits(1.5), ref, Options{WindowBatches: 1}); err == nil {
 		t.Error("minSupport > 1 did not error")
 	}
-	if _, err := NewLitsMonitor(nil, 0.1, Options{WindowBatches: 1}); err == nil {
+	if _, err := New(lits, nil, Options{WindowBatches: 1}); err == nil {
 		t.Error("nil lits reference did not error")
 	}
-	if _, err := NewDTMonitor(nil, nil, Options{WindowBatches: 1}); err == nil {
+	// Without a reference nothing is induced at construction, so the class
+	// parameters must be range-checked before the first batch arrives.
+	prev := Options{WindowBatches: 1, PreviousWindow: true}
+	for _, ms := range []float64{0, -0.5, 1.5} {
+		if _, err := New(core.Lits(ms), nil, prev); err == nil {
+			t.Errorf("previous-window lits monitor accepted minSupport %v", ms)
+		}
+	}
+	if _, err := New(core.PinnedDT(nil), nil, Options{WindowBatches: 1}); err == nil {
 		t.Error("nil tree did not error")
 	}
 	train, err := classgen.Generate(classgen.Config{NumTuples: 600, Function: classgen.F1, Seed: 94})
@@ -650,44 +665,44 @@ func TestMonitorOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDTMonitor(tree, nil, Options{WindowBatches: 1}); err == nil {
+	if _, err := New(core.PinnedDT(tree), nil, Options{WindowBatches: 1}); err == nil {
 		t.Error("dt monitor without reference or PreviousWindow did not error")
 	}
 	grid, err := cluster.NewGrid(classgen.Schema(), []int{classgen.AttrSalary}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewClusterMonitor(grid, 0.1, nil, Options{WindowBatches: 1}); err == nil {
+	if _, err := New(core.Cluster(grid, 0.1), nil, Options{WindowBatches: 1}); err == nil {
 		t.Error("cluster monitor without reference or PreviousWindow did not error")
 	}
-	if _, err := NewClusterMonitor(nil, 0.1, train, Options{WindowBatches: 1}); err == nil {
+	if _, err := New(core.Cluster(nil, 0.1), train, Options{WindowBatches: 1}); err == nil {
 		t.Error("nil grid did not error")
+	}
+	for _, md := range []float64{2, -0.5} {
+		if _, err := New(core.Cluster(grid, md), nil, prev); err == nil {
+			t.Errorf("previous-window cluster monitor accepted minDensity %v", md)
+		}
 	}
 }
 
-// The generic monitor must accept a custom (non-built-in) model class and
-// the compat adapters must expose the generic monitor. The cache-level
-// incremental guarantees of the lits window are pinned down in
-// internal/core's window tests; here the monitor's window accounting is
-// checked through the public surface.
+// The cache-level incremental guarantees of the lits window are pinned
+// down in internal/core's window tests; here the monitor's window
+// accounting is checked through the public surface.
 func TestMonitorWindowAccounting(t *testing.T) {
 	batches := randTxnBatches(95, 3, 30, 20, 6)
 	ref := concatTxns(20, randTxnBatches(96, 2, 40, 20, 6), []int{0, 1})
-	mon, err := NewLitsMonitor(ref, 0.08, Options{WindowBatches: 3})
+	mon, err := New(core.Lits(0.08), ref, Options{WindowBatches: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantN := 0
 	for _, b := range batches {
 		wantN += len(b)
-		if _, err := mon.Ingest(b); err != nil {
+		if _, err := mon.Ingest(txnBatch(20, b)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if mon.WindowBatches() != 3 || mon.WindowN() != wantN {
 		t.Errorf("window holds %d batches / %d rows, want 3 / %d", mon.WindowBatches(), mon.WindowN(), wantN)
-	}
-	if g := mon.Generic(); g == nil || g.WindowN() != wantN {
-		t.Error("Generic() does not expose the underlying monitor")
 	}
 }
