@@ -53,13 +53,15 @@ perfbench-check:
 # run if any of the headline pairs ever drops out of the trajectory: the
 # counting and mining backend pairs, the vertical-engine end-to-end wins
 # (Fig7 curves, bootstrap qualification), the ingestion-path pair, the
-# incremental-vs-rebuild monitor pair, and the fleet serving-latency
+# incremental-vs-rebuild monitor pair, the one-pass tuple-row decoder
+# against its map-based oracle, and the fleet serving-latency
 # percentiles focusload measures through a self-hosted 3-member router
 # (cmd/focusload -selfhost emits them in go-bench format). -order
 # additionally pins the relationships those entries exist for: the
 # incremental monitor path must not regress past a from-scratch rebuild,
-# and the fleet latency percentiles must stay ordered (a P50 above P99
-# means the harness's measurement itself broke). The ordering pair is re-measured at
+# the row scanner must beat the decoder it replaced, and the fleet latency
+# percentiles must stay ordered (a P50 above P99 means the harness's
+# measurement itself broke). The ordering pair is re-measured at
 # 20 iterations (later lines win in benchjson) because a single iteration
 # charges the incremental monitor's one-time window warm-up to its only
 # op, inverting the steady-state relationship the trajectory exists to
@@ -69,8 +71,8 @@ perfbench-check:
 # the analyzers run in `make ci` and the focuslint CI job, and keeping them
 # out of bench keeps benchmark wall time a pure measurement of the code
 # under test.
-BENCH_REQUIRE := BenchmarkCountTrie,BenchmarkCountBitmap,BenchmarkMineTrie,BenchmarkMineVertical,BenchmarkFig7LitsSDvsSF,BenchmarkQualifyLits,BenchmarkPump/source,BenchmarkPump/readcsv,BenchmarkLitsMonitorIncremental,BenchmarkLitsRebuildFromScratch,BenchmarkFleetCreateP50,BenchmarkFleetCreateP99,BenchmarkFleetFeedP50,BenchmarkFleetFeedP95,BenchmarkFleetFeedP99,BenchmarkDTreeBuildNaive,BenchmarkDTreeBuildFast
-BENCH_ORDER := "BenchmarkLitsMonitorIncremental<=BenchmarkLitsRebuildFromScratch,BenchmarkFleetFeedP50<=BenchmarkFleetFeedP95,BenchmarkFleetFeedP95<=BenchmarkFleetFeedP99,BenchmarkDTreeBuildFast<=BenchmarkDTreeBuildNaive"
+BENCH_REQUIRE := BenchmarkCountTrie,BenchmarkCountBitmap,BenchmarkMineTrie,BenchmarkMineVertical,BenchmarkFig7LitsSDvsSF,BenchmarkQualifyLits,BenchmarkPump/source,BenchmarkPump/readcsv,BenchmarkLitsMonitorIncremental,BenchmarkLitsRebuildFromScratch,BenchmarkFleetCreateP50,BenchmarkFleetCreateP99,BenchmarkFleetFeedP50,BenchmarkFleetFeedP95,BenchmarkFleetFeedP99,BenchmarkDTreeBuildNaive,BenchmarkDTreeBuildFast,BenchmarkTupleRowsDecode,BenchmarkTupleRowsDecodeOracle
+BENCH_ORDER := "BenchmarkLitsMonitorIncremental<=BenchmarkLitsRebuildFromScratch,BenchmarkFleetFeedP50<=BenchmarkFleetFeedP95,BenchmarkFleetFeedP95<=BenchmarkFleetFeedP99,BenchmarkDTreeBuildFast<=BenchmarkDTreeBuildNaive,BenchmarkTupleRowsDecode<=BenchmarkTupleRowsDecodeOracle"
 bench:
 	go test -run XXX -bench . -benchmem -benchtime 1x ./... | tee bench.out
 	go test -run XXX -bench 'BenchmarkLitsMonitorIncremental|BenchmarkLitsRebuildFromScratch' -benchmem -benchtime 20x ./internal/stream/ | tee -a bench.out

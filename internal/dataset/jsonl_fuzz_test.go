@@ -12,9 +12,10 @@ import (
 // FuzzJSONLSource fuzzes the JSON Lines decoder against the same small
 // fixed schema as FuzzReadCSV. The oracle: ReadJSONL never panics; when it
 // succeeds, the dataset satisfies Validate (no NaN/Inf, no out-of-domain
-// values, no missing or extra attributes slip through) and survives a
-// WriteJSONL/ReadJSONL round trip unchanged (numeric values are written
-// with full precision, categorical values by name).
+// values, no missing or extra attributes slip through), every non-blank
+// line decodes to the same tuple under the map-based oracleDecode, and the
+// dataset survives a WriteJSONL/ReadJSONL round trip unchanged (numeric
+// values are written with full precision, categorical values by name).
 func FuzzJSONLSource(f *testing.F) {
 	for _, seed := range []string{
 		`{"x":1.5,"color":"red","class":"A"}` + "\n" + `{"x":9,"color":"green","class":"B"}` + "\n",
@@ -30,6 +31,8 @@ func FuzzJSONLSource(f *testing.F) {
 		`{"x":1,"x":2,"color":"red","class":"A"}`,
 		`{"class":"B","color":"green","x":0.30000000000000004}`,
 		`[1.5,"red","A"]`,
+		`{"x":null,"color":"red","class":"A"}`,
+		`{"x":1,"color":null,"class":"A"}`,
 		`not json`,
 	} {
 		f.Add(seed)
@@ -42,6 +45,21 @@ func FuzzJSONLSource(f *testing.F) {
 		}
 		if err := d.Validate(); err != nil {
 			t.Fatalf("ReadJSONL accepted a dataset that fails Validate: %v\ninput: %q", err, in)
+		}
+		var want []dataset.Tuple
+		for _, line := range strings.Split(in, "\n") {
+			line = strings.TrimSuffix(line, "\r")
+			if strings.Trim(line, " \t\r\n") == "" {
+				continue
+			}
+			tup, err := oracleDecode(s, []byte(line))
+			if err != nil {
+				t.Fatalf("ReadJSONL accepted a line the oracle rejects (%v): %q", err, line)
+			}
+			want = append(want, tup)
+		}
+		if !sameTuples(d.Tuples, want) {
+			t.Fatalf("ReadJSONL tuples %v, oracle %v\ninput: %q", d.Tuples, want, in)
 		}
 		var buf bytes.Buffer
 		if err := d.WriteJSONL(&buf); err != nil {

@@ -190,6 +190,8 @@ func TestUnmarshalTupleJSON(t *testing.T) {
 		{"out of domain", `{"x":-1,"color":"red","class":"A"}`, false},
 		{"overflow", `{"x":1e309,"color":"red","class":"A"}`, false},
 		{"not an object", `[1.5,"red","A"]`, false},
+		{"null number", `{"x":null,"color":"red","class":"A"}`, false},
+		{"null category", `{"x":1,"color":null,"class":"A"}`, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -207,7 +207,7 @@ func (s *Session) Export(drain bool) (*SessionExport, error) {
 //lint:holds mu
 func (s *Session) configLocked() (json.RawMessage, error) {
 	if s.store != nil {
-		snap, err := s.store.readSnapshot()
+		snap, err := readSnapshot(s.store.dir)
 		if err != nil {
 			return nil, fmt.Errorf("reading session snapshot: %w", err)
 		}

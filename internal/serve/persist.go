@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"focus/internal/dataset"
@@ -22,26 +25,36 @@ import (
 //	<data>/sessions/<name>/snapshot.json   config + (after compaction) state
 //	<data>/sessions/<name>/wal.<gen>.log   batches fed since the snapshot
 //
-// A session's durable state is always (snapshot, WAL generation named by
-// the snapshot): Create writes a config-only snapshot and an empty
-// generation-1 WAL; every Feed appends its batch to the WAL before
-// ingestion; compaction reseals the accumulated WAL into a new snapshot
-// carrying the monitor's window state and the report ring, pointing at the
-// next WAL generation. Recovery rebuilds the session from the snapshot
-// (bind from config, reinstate window state) and replays the snapshot's
-// WAL generation through the normal intake path — deterministic, so the
-// restored session's State and Reports are bit-identical to an
+// A session's durable state is always a snapshot plus the WAL generation
+// it names and every consecutive later generation: Create writes a
+// config-only snapshot and an empty generation-1 WAL; every Feed appends
+// its batch to the current generation before ingestion. Compaction runs in
+// two steps. The feed that crosses the threshold seals under the session
+// lock: it exports the monitor's window state, copies the report ring and
+// counters, and rotates the WAL to generation N+1. Then, after releasing
+// the lock, the same feed publishes: it writes the snapshot carrying the
+// sealed state and naming N+1, and only then removes the generations below
+// N+1. Reads and further feeds (appending to N+1) proceed while the
+// snapshot is written and fsynced; a per-session compaction mutex keeps
+// one publish in flight, and Delete and Close wait for it. Recovery
+// rebuilds the session from the snapshot (bind from config, reinstate
+// window state) and replays the snapshot's generation and every
+// consecutive later one through the normal intake path — deterministic,
+// so the restored session's State and Reports are bit-identical to an
 // uninterrupted run.
 //
-// Crash windows resolve by the write order. The new WAL generation is
-// created before the snapshot naming it is renamed into place, and the old
-// generation is removed only after: whichever snapshot survives, the
-// generation it names exists and holds exactly the records not yet baked
-// into it; stale generations are swept on boot. Snapshots are written to a
-// temporary file, fsynced and renamed, so a torn snapshot write leaves the
-// previous one intact. WAL appends reach the kernel before the feed is
-// acknowledged, so a SIGKILL never loses an acknowledged batch; torn
-// trailing records from a crashed append are dropped by wal.Open.
+// Crash windows resolve by the write order. A crash between seal and
+// publish leaves the old snapshot, its generation N and generation N+1
+// holding the feeds acknowledged since the seal: recovery replays both. A
+// crash after the snapshot rename leaves generations below the one it
+// names, which the boot sweep removes along with any other generation
+// outside the replayed run. Data directories written before compaction
+// was split hold the named generation plus at most an empty N+1, so they
+// restore unchanged. Snapshots are written to a temporary file, fsynced
+// and renamed, so a torn snapshot write leaves the previous one intact.
+// WAL appends reach the kernel before the feed is acknowledged, so a
+// SIGKILL never loses an acknowledged batch; torn trailing records from a
+// crashed append are dropped by wal.Open.
 
 // snapshotVersion is the on-disk snapshot format version.
 const snapshotVersion = 1
@@ -67,7 +80,7 @@ type sessionStore struct {
 	dir          string
 	gen          uint64      // guarded by Session.mu
 	w            *wal.Writer // guarded by Session.mu
-	records      int         // records in the current WAL generation; guarded by Session.mu
+	records      int         // WAL records since the last seal; guarded by Session.mu
 	compactEvery int
 }
 
@@ -139,13 +152,9 @@ func OpenRegistry(dir string, compactEvery int) (r *Registry, warnings []error, 
 
 // restoreSession rebuilds one session from its directory and publishes it.
 func (r *Registry) restoreSession(dir string) error {
-	raw, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	snap, err := readSnapshot(dir)
 	if err != nil {
 		return fmt.Errorf("reading snapshot: %w", err)
-	}
-	var snap snapshotJSON
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return fmt.Errorf("decoding snapshot: %w", err)
 	}
 	if snap.Version != snapshotVersion {
 		return fmt.Errorf("snapshot version %d not supported", snap.Version)
@@ -174,36 +183,55 @@ func (r *Registry) restoreSession(dir string) error {
 	}
 	s.reports, s.alerts, s.last = snap.Reports, snap.Alerts, snap.Last
 
-	w, recs, err := wal.Open(walPath(dir, snap.WALGen))
-	if err != nil {
-		return fmt.Errorf("opening wal: %w", err)
-	}
-	for i, rec := range recs {
-		var wr walRecord
-		if err := json.Unmarshal(rec, &wr); err != nil {
-			// Undecodable payloads cannot have been written by appendFeed;
-			// treat like wal corruption: stop replaying.
-			w.Close()
-			return fmt.Errorf("wal record %d: %w", i, err)
+	// Replay the named generation, then every consecutive later one: a
+	// compaction that sealed (rotated to a new generation) but crashed
+	// before publishing its snapshot leaves acknowledged feeds there.
+	gen, records := snap.WALGen, 0
+	var w *wal.Writer
+	for {
+		gw, recs, err := wal.Open(walPath(dir, gen))
+		if err != nil {
+			return fmt.Errorf("opening wal generation %d: %w", gen, err)
 		}
-		// Replay through the normal intake path. A record that fails here
-		// failed identically when it was first fed (the WAL is written
-		// before ingestion), so a replay failure re-establishes, not
-		// diverges from, the pre-crash state.
-		s.feedLocked(wr.Epoch, wr.Rows) //nolint:errcheck
+		for i, rec := range recs {
+			var wr walRecord
+			if err := json.Unmarshal(rec, &wr); err != nil {
+				// Undecodable payloads cannot have been written by
+				// appendFeed; treat like wal corruption: stop replaying.
+				gw.Close()
+				return fmt.Errorf("wal generation %d record %d: %w", gen, i, err)
+			}
+			// Replay through the normal intake path. A record that fails
+			// here failed identically when it was first fed (the WAL is
+			// written before ingestion), so a replay failure
+			// re-establishes, not diverges from, the pre-crash state.
+			s.feedLocked(wr.Epoch, wr.Rows) //nolint:errcheck
+		}
+		records += len(recs)
+		if _, err := os.Stat(walPath(dir, gen+1)); err != nil {
+			w = gw
+			break
+		}
+		gw.Close()
+		gen++
 	}
-	removeStaleWALs(dir, snap.WALGen)
+	removeStaleWALs(dir, snap.WALGen, gen)
 	s.store = &sessionStore{
 		dir:          dir,
-		gen:          snap.WALGen,
+		gen:          gen,
 		w:            w,
-		records:      len(recs),
+		records:      records,
 		compactEvery: r.store.compactEvery,
 	}
 	// A boot that replayed a long log compacts immediately, so the next
-	// boot starts from the resealed snapshot.
+	// boot starts from the resealed snapshot. The session is not yet
+	// published, so nothing contends for the lock or the publish.
 	if s.store.shouldCompact() {
-		s.compactLocked()
+		s.compacting.Lock()
+		if c := s.sealLocked(); c != nil {
+			c.publish()
+		}
+		s.compacting.Unlock()
 	}
 
 	r.mu.Lock()
@@ -238,7 +266,7 @@ func (st *Store) createFromSnapshot(name string, snap *snapshotJSON) (*sessionSt
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	removeStaleWALs(dir, 0)
+	removeStaleWALs(dir, 1, 0)
 	if err := writeSnapshot(dir, snap); err != nil {
 		return nil, err
 	}
@@ -254,11 +282,9 @@ func (st *Store) createFromSnapshot(name string, snap *snapshotJSON) (*sessionSt
 	return &sessionStore{dir: dir, gen: snap.WALGen, w: w, compactEvery: st.compactEvery}, nil
 }
 
-// readSnapshot reads the session's current on-disk snapshot.
-//
-//lint:holds Session.mu
-func (ss *sessionStore) readSnapshot() (*snapshotJSON, error) {
-	raw, err := os.ReadFile(filepath.Join(ss.dir, snapshotFile))
+// readSnapshot reads the current on-disk snapshot of the session at dir.
+func readSnapshot(dir string) (*snapshotJSON, error) {
+	raw, err := os.ReadFile(filepath.Join(dir, snapshotFile))
 	if err != nil {
 		return nil, err
 	}
@@ -309,63 +335,82 @@ func (ss *sessionStore) close() {
 	}
 }
 
-// compactLocked reseals the session's WAL into a fresh snapshot carrying
-// the monitor window state and report ring, then rotates to the next WAL
-// generation. Callers hold s.mu; failures leave the current snapshot+WAL
-// pair intact (the log keeps growing until a later compaction succeeds).
+// compaction is one sealed compaction awaiting publication: the
+// snapshot of the session's state at the seal, naming the WAL generation
+// the seal rotated to. Its config is filled in by publish.
+type compaction struct {
+	dir  string
+	snap snapshotJSON
+}
+
+// sealLocked seals the session's state for compaction — the monitor's
+// window state, a copy of the report ring and counters — and rotates the
+// WAL to the next generation, so feeds after the seal land in the log the
+// new snapshot will name. Callers hold s.mu and s.compacting, and hand the
+// result to publish once s.mu is released. On failure (nil) nothing has
+// changed: the log keeps growing until a later compaction succeeds.
 //
 //lint:holds mu Session.mu
-func (s *Session) compactLocked() {
+func (s *Session) sealLocked() *compaction {
 	ss := s.store
 	ms, err := s.exportMonitor()
 	if err != nil {
-		return
-	}
-	// The config travels snapshot-to-snapshot as raw bytes rather than
-	// being pinned in memory for the session's lifetime.
-	prevRaw, err := os.ReadFile(filepath.Join(ss.dir, snapshotFile))
-	if err != nil {
-		return
-	}
-	var prev snapshotJSON
-	if err := json.Unmarshal(prevRaw, &prev); err != nil {
-		return
+		return nil
 	}
 	newGen := ss.gen + 1
-	// Create the next generation before publishing the snapshot that names
-	// it: a crash in between leaves an extra empty log, never a snapshot
-	// whose generation is missing records.
 	nw, recs, err := wal.Open(walPath(ss.dir, newGen))
+	if err != nil {
+		return nil
+	}
+	if len(recs) > 0 {
+		// A stale file no recovery replayed: start it over.
+		nw.Close()
+		if err := os.Remove(walPath(ss.dir, newGen)); err != nil {
+			return nil
+		}
+		if nw, _, err = wal.Open(walPath(ss.dir, newGen)); err != nil {
+			return nil
+		}
+	}
+	ss.w.Close()
+	ss.gen, ss.w, ss.records = newGen, nw, 0
+	c := &compaction{dir: ss.dir, snap: snapshotJSON{
+		Version: snapshotVersion,
+		WALGen:  newGen,
+		Monitor: ms,
+		Reports: slices.Clone(s.reports),
+		Alerts:  s.alerts,
+	}}
+	if s.last != nil {
+		last := *s.last
+		c.snap.Last = &last
+	}
+	return c
+}
+
+// publishHook, when set, runs at the start of every publish; tests use it
+// to hold a publish in flight.
+var publishHook func()
+
+// publish writes the sealed snapshot and then removes the WAL generations
+// it supersedes. Callers hold the session's compacting mutex but not its
+// lock. The config travels snapshot to snapshot as raw bytes, read back
+// from the current snapshot rather than pinned in memory for the session's
+// lifetime. Best-effort: a failure leaves the previous snapshot and every
+// generation from the one it names onward, which recovery replays in full.
+func (c *compaction) publish() {
+	if publishHook != nil {
+		publishHook()
+	}
+	prev, err := readSnapshot(c.dir)
 	if err != nil {
 		return
 	}
-	if len(recs) > 0 {
-		// A stale file from a crashed earlier compaction: start it over.
-		nw.Close()
-		if err := os.Remove(walPath(ss.dir, newGen)); err != nil {
-			return
-		}
-		if nw, _, err = wal.Open(walPath(ss.dir, newGen)); err != nil {
-			return
-		}
-	}
-	snap := snapshotJSON{
-		Version: snapshotVersion,
-		WALGen:  newGen,
-		Config:  prev.Config,
-		Monitor: ms,
-		Reports: s.reports,
-		Alerts:  s.alerts,
-		Last:    s.last,
-	}
-	if err := writeSnapshot(ss.dir, &snap); err != nil {
-		nw.Close()
-		os.Remove(walPath(ss.dir, newGen))
+	c.snap.Config = prev.Config
+	if err := writeSnapshot(c.dir, &c.snap); err != nil {
 		return
 	}
-	ss.w.Close()
-	os.Remove(walPath(ss.dir, ss.gen))
-	ss.gen, ss.w, ss.records = newGen, nw, 0
+	removeStaleWALs(c.dir, c.snap.WALGen, math.MaxUint64)
 }
 
 // writeSnapshot atomically replaces the session snapshot: temp file,
@@ -406,21 +451,22 @@ func walPath(dir string, gen uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("wal.%06d.log", gen))
 }
 
-// removeStaleWALs sweeps WAL generations other than keep (0 keeps none)
-// and leftover snapshot temp files.
-func removeStaleWALs(dir string, keep uint64) {
+// removeStaleWALs sweeps WAL generations outside [lo, hi] (lo > hi keeps
+// none) and leftover snapshot temp files.
+func removeStaleWALs(dir string, lo, hi uint64) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
-	keepName := ""
-	if keep > 0 {
-		keepName = filepath.Base(walPath(dir, keep))
-	}
 	for _, e := range entries {
 		name := e.Name()
-		stale := strings.HasPrefix(name, "wal.") && strings.HasSuffix(name, ".log") && name != keepName ||
-			strings.HasPrefix(name, snapshotFile+".tmp-")
+		stale := strings.HasPrefix(name, snapshotFile+".tmp-")
+		if num, ok := strings.CutPrefix(name, "wal."); ok {
+			if num, ok = strings.CutSuffix(num, ".log"); ok {
+				gen, err := strconv.ParseUint(num, 10, 64)
+				stale = err != nil || gen < lo || gen > hi
+			}
+		}
 		if stale {
 			os.Remove(filepath.Join(dir, name))
 		}

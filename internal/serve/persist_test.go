@@ -8,9 +8,12 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"focus/internal/serve"
+	"focus/internal/wal"
 )
 
 // durableKind is one cell of the restore-equivalence matrix: a session
@@ -522,4 +525,308 @@ func TestClosedSessionHandle(t *testing.T) {
 	if _, _, err := s.Reports(); err == nil {
 		t.Fatal("reports of deleted session succeeded")
 	}
+}
+
+// blockPublish holds the n-th compaction publish (1-based) in flight:
+// entered is closed when it starts, and it proceeds once release is
+// called. Every other publish runs straight through.
+func blockPublish(t *testing.T, n int32) (entered <-chan struct{}, release func()) {
+	t.Helper()
+	in, out := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	restore := serve.SetPublishHook(func() {
+		if calls.Add(1) == n {
+			close(in)
+			<-out
+		}
+	})
+	var once sync.Once
+	release = func() { once.Do(func() { close(out) }) }
+	t.Cleanup(func() {
+		release()
+		restore()
+	})
+	return in, release
+}
+
+// snapshotGen reads the WAL generation a session directory's snapshot
+// names.
+func snapshotGen(t *testing.T, dir string) uint64 {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		WALGen uint64 `json:"wal_gen"`
+	}
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap.WALGen
+}
+
+// controlFingerprint feeds the first n batches of k into an in-memory
+// session and returns its fingerprint.
+func controlFingerprint(t *testing.T, k durableKind, n int) string {
+	t.Helper()
+	s, err := serve.NewRegistry().Create(parseConfig(t, k.cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		feedKind(t, s, k, i)
+	}
+	return sessionFingerprint(t, s)
+}
+
+// TestCrashBetweenSealAndPublish builds the directory a crash leaves
+// between a compaction's seal and its publish — the previous snapshot
+// naming generation N, generation N, and generation N+1 holding feeds
+// acknowledged after the seal — and requires OpenRegistry to restore
+// state and reports byte-identical to an uninterrupted session, for every
+// model class.
+func TestCrashBetweenSealAndPublish(t *testing.T) {
+	for _, k := range durableKinds() {
+		t.Run(k.name, func(t *testing.T) {
+			want := controlFingerprint(t, k, len(k.batches))
+			cfg := parseConfig(t, k.cfg)
+			dir := t.TempDir()
+			// Feeds 0-1 compact (publish 1 names generation 2); feed 3
+			// seals again and its publish (2) is held while feeds 4-5
+			// append to generation 3.
+			entered, release := blockPublish(t, 2)
+			r, _, err := serve.OpenRegistry(dir, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := r.Create(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				feedKind(t, s, k, i)
+			}
+			fed := make(chan struct{})
+			go func() {
+				defer close(fed)
+				var epoch *int64
+				if k.epochs {
+					e := int64(10 + 3)
+					epoch = &e
+				}
+				if _, err := s.Feed(epoch, json.RawMessage(k.batches[3])); err != nil {
+					t.Errorf("batch 3: %v", err)
+				}
+			}()
+			<-entered
+			for i := 4; i < len(k.batches); i++ {
+				feedKind(t, s, k, i)
+			}
+			crashed := t.TempDir()
+			copyTree(t, dir, crashed)
+			release()
+			<-fed
+
+			sess := filepath.Join(crashed, "sessions", cfg.Name)
+			if g := snapshotGen(t, sess); g != 2 {
+				t.Fatalf("crash-state snapshot names generation %d, want 2", g)
+			}
+			for _, gen := range []string{"wal.000002.log", "wal.000003.log"} {
+				if _, err := os.Stat(filepath.Join(sess, gen)); err != nil {
+					t.Fatalf("crash state lacks %s: %v", gen, err)
+				}
+			}
+			r2, warns, err := serve.OpenRegistry(crashed, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r2.Close()
+			if len(warns) > 0 {
+				t.Fatalf("restore warnings: %v", warns)
+			}
+			s2, ok := r2.Get(cfg.Name)
+			if !ok {
+				t.Fatalf("session %q not restored", cfg.Name)
+			}
+			if got := sessionFingerprint(t, s2); got != want {
+				t.Fatalf("restored fingerprint diverges\n got: %s\nwant: %s", got, want)
+			}
+		})
+	}
+}
+
+// TestLegacyStaleGenerationRestores pins that the layout the previous
+// compaction could leave on a crash — a snapshot naming generation N next
+// to an empty, stale N+1 — still restores, and the session keeps feeding
+// bit-identically.
+func TestLegacyStaleGenerationRestores(t *testing.T) {
+	k := durableKinds()[2] // dt
+	cfg := parseConfig(t, k.cfg)
+	dir := t.TempDir()
+	r, _, err := serve.OpenRegistry(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := r.Create(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ { // compacts once: generation 2 holds batch 2
+		feedKind(t, s, k, i)
+	}
+	sess := filepath.Join(dir, "sessions", cfg.Name)
+	if g := snapshotGen(t, sess); g != 2 {
+		t.Fatalf("snapshot names generation %d, want 2", g)
+	}
+	w, recs, err := wal.Open(filepath.Join(sess, "wal.000003.log"))
+	if err != nil || len(recs) != 0 {
+		t.Fatalf("creating the stale generation: %v, %d records", err, len(recs))
+	}
+	w.Close()
+
+	r2, warns, err := serve.OpenRegistry(dir, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	if len(warns) > 0 {
+		t.Fatalf("restore warnings: %v", warns)
+	}
+	s2, ok := r2.Get(cfg.Name)
+	if !ok {
+		t.Fatal("session not restored")
+	}
+	if got, want := sessionFingerprint(t, s2), controlFingerprint(t, k, 3); got != want {
+		t.Fatalf("restored fingerprint diverges\n got: %s\nwant: %s", got, want)
+	}
+	for i := 3; i < len(k.batches); i++ {
+		feedKind(t, s2, k, i)
+	}
+	if got, want := sessionFingerprint(t, s2), controlFingerprint(t, k, len(k.batches)); got != want {
+		t.Fatalf("fingerprint after further feeds diverges\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// TestDeleteDuringPublish races a Delete against an in-flight publish:
+// once Delete returns, the session directory must be gone and stay gone,
+// with nothing to restore — even after a new session of the same name is
+// created, which the old publish must not clobber.
+func TestDeleteDuringPublish(t *testing.T) {
+	k := durableKinds()[0]
+	cfg := parseConfig(t, k.cfg)
+	dir := t.TempDir()
+	entered, release := blockPublish(t, 1)
+	r, _, err := serve.OpenRegistry(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := r.Create(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedKind(t, s, k, 0)
+	fed := make(chan struct{})
+	go func() {
+		defer close(fed)
+		if _, err := s.Feed(nil, json.RawMessage(k.batches[1])); err != nil {
+			t.Errorf("batch 1: %v", err)
+		}
+	}()
+	<-entered
+	deleted := make(chan struct{})
+	go func() {
+		defer close(deleted)
+		if !r.Delete(cfg.Name) {
+			t.Errorf("Delete reported a missing session")
+		}
+	}()
+	// Delete must wait for the publish. The timeout only bounds how long
+	// a Delete that does not wait gets to return first.
+	select {
+	case <-deleted:
+		t.Error("Delete returned while a publish was in flight")
+	case <-time.After(100 * time.Millisecond):
+	}
+	release()
+	<-fed
+	<-deleted
+	sess := filepath.Join(dir, "sessions", cfg.Name)
+	if _, err := os.Stat(sess); !os.IsNotExist(err) {
+		t.Fatalf("session directory survives delete: %v", err)
+	}
+	r2, warns, err := serve.OpenRegistry(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warns) > 0 || len(r2.Names()) != 0 {
+		t.Fatalf("deleted session restores: %v, warnings %v", r2.Names(), warns)
+	}
+	r2.Close()
+
+	// A recreated session starts from scratch.
+	if _, err := r.Create(cfg); err != nil {
+		t.Fatal(err)
+	}
+	r3, warns, err := serve.OpenRegistry(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r3.Close()
+	s3, ok := r3.Get(cfg.Name)
+	if len(warns) > 0 || !ok {
+		t.Fatalf("recreated session not restored (warnings %v)", warns)
+	}
+	if got, want := sessionFingerprint(t, s3), controlFingerprint(t, k, 0); got != want {
+		t.Fatalf("recreated session carries old state\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// TestReadsDuringPublish pins that compaction publishes outside the
+// session lock: State and Reports answer while a publish is held in
+// flight.
+func TestReadsDuringPublish(t *testing.T) {
+	k := durableKinds()[0]
+	dir := t.TempDir()
+	entered, release := blockPublish(t, 1)
+	r, _, err := serve.OpenRegistry(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	s, err := r.Create(parseConfig(t, k.cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedKind(t, s, k, 0)
+	fed := make(chan struct{})
+	go func() {
+		defer close(fed)
+		if _, err := s.Feed(nil, json.RawMessage(k.batches[1])); err != nil {
+			t.Errorf("batch 1: %v", err)
+		}
+	}()
+	<-entered
+	read := make(chan error, 1)
+	go func() {
+		if _, err := s.State(); err != nil {
+			read <- err
+			return
+		}
+		reports, _, err := s.Reports()
+		if err == nil && len(reports) != 2 {
+			err = fmt.Errorf("%d reports, want 2", len(reports))
+		}
+		read <- err
+	}()
+	select {
+	case err := <-read:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("reads blocked behind an in-flight publish")
+	}
+	release()
+	<-fed
 }

@@ -90,6 +90,11 @@ type Session struct {
 	max     int
 
 	store *sessionStore // nil: in-memory session; guarded by mu
+	// compacting is held from a compaction's seal, under mu, to the end of
+	// its publish, outside mu: one publish in flight per session. Feed
+	// takes it with TryLock, so a feed never waits on another's publish;
+	// Delete and Close take it, so no publish outlives them.
+	compacting sync.Mutex
 	// exportMonitor and restoreMonitor bridge the generic monitor state to
 	// its JSON snapshot form; bindSession installs them per model class.
 	exportMonitor  func() (*monitorStateJSON, error)
@@ -238,6 +243,11 @@ func (r *Registry) Delete(name string) bool {
 	if !ok {
 		return false
 	}
+	// Holding compacting waits out an in-flight publish and keeps a later
+	// one from starting, so nothing writes into the directory once it is
+	// removed (or after a recreated session of the same name owns it).
+	s.compacting.Lock()
+	defer s.compacting.Unlock()
 	s.close()
 	if r.store != nil {
 		r.store.remove(name)
@@ -276,7 +286,10 @@ func (r *Registry) Close() error {
 	}
 	r.mu.Unlock()
 	for _, s := range sessions {
+		// Wait out an in-flight publish, as Delete does.
+		s.compacting.Lock()
 		s.close()
+		s.compacting.Unlock()
 	}
 	return nil
 }
@@ -525,10 +538,20 @@ func bindCluster(s *Session, cfg *SessionConfig) error {
 // session the batch is appended to the write-ahead log before ingestion —
 // a crash after the acknowledgement can always replay it — and the WAL is
 // compacted into a fresh snapshot once the replay debt crosses the
-// registry's threshold. A deleted session answers 404.
+// registry's threshold: the state is sealed under the session lock and the
+// snapshot published after it is released, before Feed returns. A deleted
+// session answers 404.
 //
 //lint:wal-before-ingest
 func (s *Session) Feed(epoch *int64, rows json.RawMessage) (*ReportJSON, error) {
+	var sealed *compaction
+	// Deferred first, so it runs after the unlock below.
+	defer func() {
+		if sealed != nil {
+			sealed.publish()
+			s.compacting.Unlock()
+		}
+	}()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -546,11 +569,14 @@ func (s *Session) Feed(epoch *int64, rows json.RawMessage) (*ReportJSON, error) 
 	if err != nil {
 		return nil, err
 	}
-	if s.store != nil && s.store.shouldCompact() {
+	if s.store != nil && s.store.shouldCompact() && s.compacting.TryLock() {
 		// Best-effort: the feed is already durable in the WAL, so a failed
 		// compaction degrades replay time, never correctness; the next
-		// threshold crossing retries.
-		s.compactLocked()
+		// feed retries. So does the next feed when a publish is still in
+		// flight.
+		if sealed = s.sealLocked(); sealed == nil {
+			s.compacting.Unlock()
+		}
 	}
 	return rj, nil
 }

@@ -236,6 +236,8 @@ func TestFeedValidation(t *testing.T) {
 		{"malformed row", "/v1/sessions/s/batches", `{"rows": [{"x": "red"}]}`, 400},
 		{"out of domain row", "/v1/sessions/s/batches", `{"rows": [{"x": 101}]}`, 400},
 		{"missing attribute", "/v1/sessions/s/batches", `{"rows": [{}]}`, 400},
+		{"null value", "/v1/sessions/s/batches", `{"rows": [{"x": null}, {"x": null}]}`, 400},
+		{"null row", "/v1/sessions/s/batches", `{"rows": [null]}`, 400},
 		{"tuple rows into lits", "/v1/sessions/l/batches", `{"rows": [{"x": 1}]}`, 400},
 		{"lits item outside universe", "/v1/sessions/l/batches", `{"rows": [[11]]}`, 400},
 		{"valid feed", "/v1/sessions/s/batches", `{"rows": [{"x": 10}, {"x": 60}]}`, 200},

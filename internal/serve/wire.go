@@ -221,21 +221,7 @@ type errorResponse struct {
 // tables built once per session, not per request.
 func tupleRowDecoder(s *dataset.Schema) func(json.RawMessage) (*dataset.Dataset, error) {
 	td := dataset.NewTupleDecoder(s)
-	return func(raw json.RawMessage) (*dataset.Dataset, error) {
-		var rows []json.RawMessage
-		if err := json.Unmarshal(raw, &rows); err != nil {
-			return nil, fmt.Errorf("rows must be an array of objects: %w", err)
-		}
-		d := dataset.New(s)
-		for i, r := range rows {
-			t, err := td.Decode(r)
-			if err != nil {
-				return nil, fmt.Errorf("row %d: %w", i, err)
-			}
-			d.Tuples = append(d.Tuples, t)
-		}
-		return d, nil
-	}
+	return func(raw json.RawMessage) (*dataset.Dataset, error) { return td.DecodeRows(raw) }
 }
 
 // decodeTxnRows decodes an array of item-id arrays into a transaction batch
