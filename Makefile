@@ -54,7 +54,8 @@ perfbench-check:
 # counting and mining backend pairs, the vertical-engine end-to-end wins
 # (Fig7 curves, bootstrap qualification), the ingestion-path pair, the
 # incremental-vs-rebuild monitor pair, the one-pass tuple-row decoder
-# against its map-based oracle, and the fleet serving-latency
+# against its map-based oracle, a qualifying lits monitor's ingest (the
+# bootstrap qualification stage), and the fleet serving-latency
 # percentiles focusload measures through a self-hosted 3-member router
 # (cmd/focusload -selfhost emits them in go-bench format). -order
 # additionally pins the relationships those entries exist for: the
@@ -71,7 +72,7 @@ perfbench-check:
 # the analyzers run in `make ci` and the focuslint CI job, and keeping them
 # out of bench keeps benchmark wall time a pure measurement of the code
 # under test.
-BENCH_REQUIRE := BenchmarkCountTrie,BenchmarkCountBitmap,BenchmarkMineTrie,BenchmarkMineVertical,BenchmarkFig7LitsSDvsSF,BenchmarkQualifyLits,BenchmarkPump/source,BenchmarkPump/readcsv,BenchmarkLitsMonitorIncremental,BenchmarkLitsRebuildFromScratch,BenchmarkFleetCreateP50,BenchmarkFleetCreateP99,BenchmarkFleetFeedP50,BenchmarkFleetFeedP95,BenchmarkFleetFeedP99,BenchmarkDTreeBuildNaive,BenchmarkDTreeBuildFast,BenchmarkTupleRowsDecode,BenchmarkTupleRowsDecodeOracle
+BENCH_REQUIRE := BenchmarkCountTrie,BenchmarkCountBitmap,BenchmarkMineTrie,BenchmarkMineVertical,BenchmarkFig7LitsSDvsSF,BenchmarkQualifyLits,BenchmarkPump/source,BenchmarkPump/readcsv,BenchmarkLitsMonitorIncremental,BenchmarkLitsRebuildFromScratch,BenchmarkFleetCreateP50,BenchmarkFleetCreateP99,BenchmarkFleetFeedP50,BenchmarkFleetFeedP95,BenchmarkFleetFeedP99,BenchmarkDTreeBuildNaive,BenchmarkDTreeBuildFast,BenchmarkTupleRowsDecode,BenchmarkTupleRowsDecodeOracle,BenchmarkLitsMonitorQualify
 BENCH_ORDER := "BenchmarkLitsMonitorIncremental<=BenchmarkLitsRebuildFromScratch,BenchmarkFleetFeedP50<=BenchmarkFleetFeedP95,BenchmarkFleetFeedP95<=BenchmarkFleetFeedP99,BenchmarkDTreeBuildFast<=BenchmarkDTreeBuildNaive,BenchmarkTupleRowsDecode<=BenchmarkTupleRowsDecodeOracle"
 bench:
 	go test -run XXX -bench . -benchmem -benchtime 1x ./... | tee bench.out

@@ -133,6 +133,12 @@ type vminer struct {
 	cur       Itemset
 	its       []Itemset
 	counts    []int
+	// owned makes the output buffers the miner's own: reset truncates its
+	// and counts instead of dropping them, and emit carves itemsets from
+	// the items arena instead of allocating each one. Only a miner whose
+	// every output dies before its next mine (a bootstrap view's) sets it.
+	owned bool
+	items []txn.Item
 }
 
 func newVminer(numTids int) *vminer {
@@ -140,14 +146,17 @@ func newVminer(numTids int) *vminer {
 }
 
 // reset prepares the miner for a new mine; buffers (pool, levels, prefix)
-// carry over, output accumulators start fresh (they escape into the
-// returned FrequentSet).
+// carry over. Output accumulators start fresh (they escape into the
+// returned FrequentSet) unless the miner owns its output.
 func (m *vminer) reset(mult []int32, minCount int) {
 	m.mult = mult
 	m.minCount = minCount
 	m.cur = m.cur[:0]
-	m.its = nil
-	m.counts = nil
+	if m.owned {
+		m.its, m.counts, m.items = m.its[:0], m.counts[:0], m.items[:0]
+	} else {
+		m.its, m.counts = nil, nil
+	}
 }
 
 // childBuf returns the reusable extension buffer of the given depth.
@@ -176,7 +185,17 @@ func (m *vminer) diffCount(a, b bitset.Set) int {
 
 // emit records the current prefix with its support.
 func (m *vminer) emit(count int) {
-	m.its = append(m.its, append(Itemset(nil), m.cur...))
+	var s Itemset
+	if m.owned {
+		// An arena regrowth leaves earlier itemsets in the old array, which
+		// stays intact until a later mine truncates the arena.
+		lo := len(m.items)
+		m.items = append(m.items, m.cur...)
+		s = m.items[lo:len(m.items):len(m.items)]
+	} else {
+		s = append(Itemset(nil), m.cur...)
+	}
+	m.its = append(m.its, s)
 	m.counts = append(m.counts, count)
 }
 

@@ -11,7 +11,7 @@ import (
 // draw held as a txn.Draw multiplicity vector instead of a materialized
 // dataset. Every support under the view is a multiplicity-weighted count
 // through the base dataset's memoized vertical index — Mine runs the
-// weighted vertical DFS, Count weighs intersections — so a bootstrap
+// weighted vertical DFS, CountOne weighs intersections — so a bootstrap
 // replicate copies no transactions and builds no per-replicate index, and
 // its integer counts are bit-identical to mining/counting the materialized
 // resample. A View's buffers (draw vector, miner scratch, intersection
@@ -25,6 +25,7 @@ type View struct {
 	miner      *vminer
 	pairs      *pairTable
 	scratch    bitset.Set
+	out        FrequentSet // Mine's result, reused by the next Mine
 }
 
 // NewView returns a view over d, building (or reusing) d's memoized
@@ -76,17 +77,23 @@ func (v *View) N() int { return v.draw.N }
 // vertical DFS — bit-identical to mining the materialized resample with
 // any backend. Mining is serial: bootstrap parallelism lives at the
 // replicate level, one view per worker.
+//
+// The returned FrequentSet is owned by the view, as are its Itemsets and
+// Counts slices and the items of every itemset: all of it is valid only
+// until the view's next Mine, which overwrites it. Callers that keep any
+// of it longer must copy it.
 func (v *View) Mine(minSupport float64) (*FrequentSet, error) {
 	if minSupport <= 0 || minSupport > 1 {
 		return nil, minSupportError(minSupport)
 	}
-	out := &FrequentSet{MinSupport: minSupport, N: v.draw.N}
+	v.out = FrequentSet{MinSupport: minSupport, N: v.draw.N}
 	if v.draw.N == 0 {
-		return out, nil
+		return &v.out, nil
 	}
 	minCount := minCountFor(minSupport, v.draw.N)
 	if v.miner == nil {
 		v.miner = newVminer(v.ix.n)
+		v.miner.owned = true
 		pt := &pairTable{}
 		v.pairs = pt
 		v.miner.pairCount = pt.at
@@ -97,22 +104,13 @@ func (v *View) Mine(minSupport float64) (*FrequentSet, error) {
 	m.levels[0] = roots
 	v.pairs.countPairs(v.d, v.draw.Mult, roots)
 	m.mineRoots(roots, 0, len(roots))
-	out.Itemsets, out.Counts = m.its, m.counts
-	m.its, m.counts = nil, nil
-	return out, nil
+	v.out.Itemsets, v.out.Counts = m.its, m.counts
+	return &v.out, nil
 }
 
-// Count returns the multiplicity-weighted support of each itemset under
-// the view — bit-identical to counting the materialized resample.
-func (v *View) Count(sets []Itemset) []int {
-	counts := make([]int, len(sets))
-	for i, s := range sets {
-		counts[i] = v.countOne(s)
-	}
-	return counts
-}
-
-func (v *View) countOne(s Itemset) int {
+// CountOne returns the multiplicity-weighted support of s under the view —
+// bit-identical to counting the materialized resample.
+func (v *View) CountOne(s Itemset) int {
 	for _, it := range s {
 		if int(it) < 0 || int(it) >= len(v.ix.items) || v.ix.items[it] == nil {
 			return 0 // item outside the universe or in no base transaction

@@ -92,9 +92,11 @@ type viewPair struct {
 // engine is worth it for the pool, replicates draw multiplicity-vector
 // views instead of materializing resampled datasets, mine them through the
 // weighted vertical DFS, and count the GCR through the pool's memoized
-// index. The RNG stream, the integer counts, and hence the replicate
-// deviations are bit-identical to the generic Resample/Induce/MeasureGCR
-// path — pinned by TestQualifyViewBootstrapEquivalence.
+// index: the two mines' sorted outputs merge into the GCR, and an itemset
+// is counted under a view only on the side where it was not frequent. The
+// RNG stream, the integer counts, and hence the replicate deviations are
+// bit-identical to the generic Resample/Induce/MeasureGCR path — pinned by
+// TestQualifyViewBootstrapEquivalence and FuzzQualifyViewBootstrap.
 func (c litsClass) newReplicate(pool *txn.Dataset, cfg *Config) (replicateFunc, bool) {
 	if !apriori.UseViewBootstrap(c.counterFor(cfg), pool) {
 		return nil, false
@@ -125,21 +127,26 @@ func (c litsClass) newReplicate(pool *txn.Dataset, cfg *Config) (replicateFunc, 
 		if err != nil {
 			panic(err)
 		}
-		gcr := GCRItemsets(&LitsModel{FS: fs1}, &LitsModel{FS: fs2})
-		if keep != nil {
-			kept := gcr[:0]
-			for _, s := range gcr {
-				if keep(s) {
-					kept = append(kept, s)
-				}
+		// A GCR itemset frequent on a side takes its support from that
+		// side's mine; only the other side is counted through its view.
+		gcr, in1, in2 := mergeGCR(fs1, fs2)
+		regions := make([]MeasuredRegion, 0, len(gcr))
+		for i, s := range gcr {
+			if keep != nil && !keep(s) {
+				continue
 			}
-			gcr = kept
-		}
-		c1 := p.v1.Count(gcr)
-		c2 := p.v2.Count(gcr)
-		regions := make([]MeasuredRegion, len(gcr))
-		for i := range gcr {
-			regions[i] = MeasuredRegion{Alpha1: float64(c1[i]), Alpha2: float64(c2[i])}
+			var a1, a2 int
+			if in1[i] >= 0 {
+				a1 = fs1.Counts[in1[i]]
+			} else {
+				a1 = p.v1.CountOne(s)
+			}
+			if in2[i] >= 0 {
+				a2 = fs2.Counts[in2[i]]
+			} else {
+				a2 = p.v2.CountOne(s)
+			}
+			regions = append(regions, MeasuredRegion{Alpha1: float64(a1), Alpha2: float64(a2)})
 		}
 		return Deviation1(regions, float64(p.v1.N()), float64(p.v2.N()), f, g)
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"focus/internal/apriori"
 	"focus/internal/txn"
 )
@@ -56,19 +54,36 @@ func (m *LitsModel) Len() int { return m.FS.Len() }
 // refinement of two lits-models: the union of their frequent itemsets
 // (Section 2.2), in lexicographic order.
 func GCRItemsets(m1, m2 *LitsModel) []apriori.Itemset {
-	seen := make(map[string]bool, m1.Len()+m2.Len())
-	out := make([]apriori.Itemset, 0, m1.Len()+m2.Len())
-	for _, src := range [2]*LitsModel{m1, m2} {
-		for _, s := range src.FS.Itemsets {
-			k := s.Key()
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, s)
-			}
+	gcr, _, _ := mergeGCR(m1.FS, m2.FS)
+	return gcr
+}
+
+// mergeGCR unions two frequent sets by a linear merge of their itemset
+// lists, which every miner emits in strict lexicographic order. gcr is the
+// union in that order; in1[i] and in2[i] are gcr[i]'s positions in fs1 and
+// fs2, or -1 when it is not frequent on that side.
+func mergeGCR(fs1, fs2 *apriori.FrequentSet) (gcr []apriori.Itemset, in1, in2 []int) {
+	a, b := fs1.Itemsets, fs2.Itemsets
+	n := len(a) + len(b)
+	gcr = make([]apriori.Itemset, 0, n)
+	in1 = make([]int, 0, n)
+	in2 = make([]int, 0, n)
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		switch {
+		case j == len(b) || i < len(a) && a[i].Less(b[j]):
+			gcr, in1, in2 = append(gcr, a[i]), append(in1, i), append(in2, -1)
+			i++
+		case i == len(a) || b[j].Less(a[i]):
+			gcr, in1, in2 = append(gcr, b[j]), append(in1, -1), append(in2, j)
+			j++
+		default:
+			gcr, in1, in2 = append(gcr, a[i]), append(in1, i), append(in2, j)
+			i++
+			j++
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	return gcr, in1, in2
 }
 
 // LitsDeviationOverRefinement computes delta_1(f,g) over an arbitrary common
@@ -93,18 +108,16 @@ func LitsDeviationOverRefinement(refinement []apriori.Itemset, d1, d2 *txn.Datas
 // difference. delta* satisfies the triangle inequality, making it usable as
 // a metric for embedding dataset collections (Section 4.1.1).
 func LitsUpperBound(m1, m2 *LitsModel, g AggFunc) float64 {
-	gcr := GCRItemsets(m1, m2)
+	gcr, in1, in2 := mergeGCR(m1.FS, m2.FS)
 	n1, n2 := float64(m1.N()), float64(m2.N())
 	diffs := make([]float64, len(gcr))
-	for i, s := range gcr {
-		i1 := m1.FS.Lookup(s)
-		i2 := m2.FS.Lookup(s)
+	for i := range gcr {
 		var a1, a2 float64
-		if i1 >= 0 {
-			a1 = float64(m1.FS.Counts[i1])
+		if in1[i] >= 0 {
+			a1 = float64(m1.FS.Counts[in1[i]])
 		}
-		if i2 >= 0 {
-			a2 = float64(m2.FS.Counts[i2])
+		if in2[i] >= 0 {
+			a2 = float64(m2.FS.Counts[in2[i]])
 		}
 		diffs[i] = AbsoluteDiff(a1, a2, n1, n2)
 	}

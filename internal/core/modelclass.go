@@ -133,7 +133,9 @@ type Config struct {
 	FocusRegion *region.Box
 	// FocusItemsets, when non-nil, keeps only the GCR itemsets for which it
 	// returns true (the Section 5 predicate operator in the lits domain).
-	// Ignored by classes without itemset regions.
+	// Ignored by classes without itemset regions. The predicate must not
+	// retain the itemset it is passed: bootstrap replicates reuse its
+	// storage.
 	FocusItemsets func(apriori.Itemset) bool
 
 	// Replicates is the bootstrap replicate count of Qualify (default
@@ -183,7 +185,7 @@ func NewConfig(opts ...Option) Config {
 }
 
 // WithConfig replaces the whole configuration, for callers that already
-// hold an assembled Config (a monitor's bootstrap, a replayed session).
+// hold an assembled Config (a replayed session).
 func WithConfig(c Config) Option { return func(dst *Config) { *dst = c } }
 
 // WithParallelism selects the worker count (0 = process default, 1 =
@@ -342,8 +344,23 @@ func Qualify[D, M any](mc ModelClass[D, M], d1, d2 D, f DiffFunc, g AggFunc, opt
 	if err != nil {
 		return Qualification{}, err
 	}
+	observed := Deviation1(regions, float64(mc.Len(d1)), float64(mc.Len(d2)), f, g)
+	return QualifyObserved(mc, observed, d1, d2, f, g, cfg)
+}
+
+// QualifyObserved is the bootstrap half of Qualify: it qualifies a
+// deviation between d1 and d2 that the caller has already computed,
+// without re-inducing the two models or re-measuring their GCR. observed
+// must be the deviation Qualify would compute over d1 and d2 under cfg,
+// or the significance means nothing; a monitor passes the deviation it
+// just emitted over its windows, whose data are d1 and d2. The null
+// distribution depends only on the pooled data and cfg, never on
+// observed.
+func QualifyObserved[D, M any](mc ModelClass[D, M], observed float64, d1, d2 D, f DiffFunc, g AggFunc, cfg Config) (Qualification, error) {
 	n1, n2 := mc.Len(d1), mc.Len(d2)
-	observed := Deviation1(regions, float64(n1), float64(n2), f, g)
+	if n1 == 0 || n2 == 0 {
+		return Qualification{}, errors.New("core: qualification requires non-empty datasets")
+	}
 	pool, err := mc.Concat(d1, d2)
 	if err != nil {
 		return Qualification{}, err

@@ -782,6 +782,68 @@ func TestDeleteDuringPublish(t *testing.T) {
 	}
 }
 
+// TestDeleteRacingCreate pins that Delete holds the name until the session
+// directory is gone. A same-name Create that lands between the session's
+// removal from the registry and the removal of its directory must answer
+// 409; if it were let through, its snapshot and acknowledged feeds would
+// be wiped by the directory removal and lost on restart.
+func TestDeleteRacingCreate(t *testing.T) {
+	k := durableKinds()[0]
+	cfg := parseConfig(t, k.cfg)
+	dir := t.TempDir()
+	r, _, err := serve.OpenRegistry(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := r.Create(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedKind(t, s, k, 0)
+	var racer *serve.Session
+	restore := serve.SetDeleteHook(func() {
+		rs, err := r.Create(cfg)
+		if err != nil {
+			if code := serve.StatusOf(err); code != http.StatusConflict {
+				t.Errorf("Create during Delete: %v (status %d), want 409", err, code)
+			}
+			return
+		}
+		racer = rs
+		feedKind(t, rs, k, 0)
+		feedKind(t, rs, k, 1)
+	})
+	deleted := r.Delete(cfg.Name)
+	restore()
+	if !deleted {
+		t.Fatal("Delete reported a missing session")
+	}
+	if racer != nil {
+		// The racing Create was let through: its feeds were acknowledged,
+		// so the session must survive a restart with them.
+		want := sessionFingerprint(t, racer)
+		r.Close()
+		r2, warns, err := serve.OpenRegistry(dir, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r2.Close()
+		s2, ok := r2.Get(cfg.Name)
+		if !ok {
+			t.Fatalf("session created during Delete lost its files (warnings %v)", warns)
+		}
+		if got := sessionFingerprint(t, s2); got != want {
+			t.Fatalf("session created during Delete restores different state\n got: %s\nwant: %s", got, want)
+		}
+		return
+	}
+	// The name is released once Delete returns.
+	if _, err := r.Create(cfg); err != nil {
+		t.Fatalf("Create after Delete: %v", err)
+	}
+	r.Close()
+}
+
 // TestReadsDuringPublish pins that compaction publishes outside the
 // session lock: State and Reports answer while a publish is held in
 // flight.

@@ -38,7 +38,7 @@ const DefaultMaxReports = 256
 type Registry struct {
 	mu         sync.RWMutex
 	sessions   map[string]*Session // guarded by mu
-	reserved   map[string]struct{} // names mid-Create (bound outside the lock); guarded by mu
+	reserved   map[string]struct{} // names mid-Create or mid-Delete (work outside the lock); guarded by mu
 	maxReports int
 	store      *Store // nil: sessions live and die with the process
 
@@ -229,29 +229,45 @@ func (r *Registry) Get(name string) (*Session, bool) {
 	return s, ok
 }
 
+// deleteHook, when set, runs in Delete between the session's removal from
+// the registry and the removal of its directory; tests use it to race a
+// same-name Create into that window.
+var deleteHook func()
+
 // Delete removes the named session, reporting whether it existed. The
 // session is closed under its own lock before its durable state is
 // removed, so an in-flight Feed either completes entirely before the
 // delete or observes the closed flag and 404s — a feed can never mutate
 // the monitor, the report ring, or the write-ahead log of a deleted
-// session.
+// session. The name stays reserved until the directory is gone, so a
+// same-name Create or Import racing the delete answers 409 instead of
+// writing files the removal would then wipe.
 func (r *Registry) Delete(name string) bool {
 	r.mu.Lock()
 	s, ok := r.sessions[name]
-	delete(r.sessions, name)
+	if ok {
+		delete(r.sessions, name)
+		r.reserved[name] = struct{}{}
+	}
 	r.mu.Unlock()
 	if !ok {
 		return false
 	}
+	if deleteHook != nil {
+		deleteHook()
+	}
 	// Holding compacting waits out an in-flight publish and keeps a later
 	// one from starting, so nothing writes into the directory once it is
-	// removed (or after a recreated session of the same name owns it).
+	// removed.
 	s.compacting.Lock()
-	defer s.compacting.Unlock()
 	s.close()
 	if r.store != nil {
 		r.store.remove(name)
 	}
+	s.compacting.Unlock()
+	r.mu.Lock()
+	delete(r.reserved, name)
+	r.mu.Unlock()
 	return true
 }
 

@@ -309,11 +309,12 @@ func (m *Monitor[D, M]) snapshot() error {
 	return nil
 }
 
-// qualify bootstraps the emitted deviation through the generic Qualify
-// pipeline over the reference and window raw data (Section 3.4 applied to
-// the monitoring statistic). Bit-identical to qualifying the batch
-// datasets directly: the windows' concatenated data induce the same models
-// as their mergeable summaries. Callers hold m.mu.
+// qualify bootstraps the emitted deviation through the generic
+// qualification pipeline over the reference and window raw data (Section
+// 3.4 applied to the monitoring statistic). Bit-identical to qualifying
+// the batch datasets directly: the windows' concatenated data induce the
+// same models as their mergeable summaries, so the observed deviation is
+// the one already emitted and only the bootstrap runs. Callers hold m.mu.
 //
 //lint:holds mu
 func (m *Monitor[D, M]) qualify(observed float64, seed int64) (*core.Qualification, error) {
@@ -322,15 +323,14 @@ func (m *Monitor[D, M]) qualify(observed float64, seed int64) (*core.Qualificati
 	if m.mc.Len(refData) == 0 || m.mc.Len(curData) == 0 {
 		return nil, errors.New("stream: qualification requires non-empty reference and window")
 	}
-	q, err := core.Qualify(m.mc, refData, curData, m.opts.F, m.opts.G, core.WithConfig(core.Config{
+	q, err := core.QualifyObserved(m.mc, observed, refData, curData, m.opts.F, m.opts.G, core.Config{
 		Replicates:  m.opts.Replicates,
 		Seed:        seed,
 		Parallelism: m.opts.Parallelism,
-	}))
+	})
 	if err != nil {
 		return nil, err
 	}
-	q.Deviation = observed
 	return &q, nil
 }
 

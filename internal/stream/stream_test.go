@@ -550,6 +550,27 @@ func TestMonitorQualifyDeterministic(t *testing.T) {
 		if len(a[i].Qual.Null) != 19 {
 			t.Errorf("report %d: null size %d", i, len(a[i].Qual.Null))
 		}
+		// The monitor bootstraps the deviation it emitted; qualifying the
+		// reference and window data from scratch must agree to the bit.
+		var idx []int
+		for k := max(0, i-1); k <= i; k++ {
+			idx = append(idx, k)
+		}
+		win := concatTxns(25, batches, idx)
+		want, err := core.Qualify(core.Lits(0.08), ref, win, core.AbsoluteDiff, core.Sum,
+			core.WithReplicates(19), core.WithSeed(5+int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Deviation != a[i].Deviation || want.Significance != a[i].Qual.Significance {
+			t.Errorf("report %d: (dev, sig) = (%v, %v), Qualify over the window data (%v, %v)",
+				i, a[i].Deviation, a[i].Qual.Significance, want.Deviation, want.Significance)
+		}
+		for j := range want.Null {
+			if want.Null[j] != a[i].Qual.Null[j] {
+				t.Errorf("report %d: null[%d] = %v, Qualify %v", i, j, a[i].Qual.Null[j], want.Null[j])
+			}
+		}
 	}
 	// Successive emissions must draw distinct seeds: two reports with the
 	// same data would otherwise share a null verbatim.
