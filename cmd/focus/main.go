@@ -28,7 +28,6 @@ import (
 	"os"
 	"strings"
 
-	"focus/internal/apriori"
 	"focus/internal/classgen"
 	"focus/internal/cluster"
 	"focus/internal/core"
@@ -65,8 +64,6 @@ type config struct {
 	minLeaf     int
 	showBound   bool
 	par         int
-	counterName string
-	counter     apriori.Counter
 	searchName  string
 	splitSearch dtree.SplitSearch
 	histBins    int
@@ -102,7 +99,6 @@ func run(args []string, stdout io.Writer) error {
 	fs.IntVar(&cfg.minLeaf, "minleaf", 25, "decision tree minimum leaf size")
 	fs.BoolVar(&cfg.showBound, "bound", false, "also print the delta* upper bound (lits only)")
 	fs.IntVar(&cfg.par, "parallelism", 0, "worker count for scans and bootstrap (0 = GOMAXPROCS, 1 = serial)")
-	fs.StringVar(&cfg.counterName, "counter", "auto", "lits counting backend: auto, trie or bitmap (bit-identical output)")
 	fs.StringVar(&cfg.searchName, "split-search", "exact", "dt numeric split search: exact, hist or auto")
 	fs.IntVar(&cfg.histBins, "histbins", 0, "dt hist-mode quantile bins per attribute (0 = default)")
 	fs.StringVar(&cfg.attrs, "attrs", "salary,age", "cluster grid attributes (comma-separated numeric attribute names)")
@@ -129,10 +125,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	cfg.g, err = core.AggByName(cfg.gName)
-	if err != nil {
-		return err
-	}
-	cfg.counter, err = apriori.ParseCounter(cfg.counterName)
 	if err != nil {
 		return err
 	}
@@ -188,7 +180,7 @@ func runLits(cfg *config, path1, path2 string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	mc := core.LitsWithCounter(cfg.minsup, cfg.counter)
+	mc := core.Lits(cfg.minsup)
 	m1, err := mc.Induce(d1, 0)
 	if err != nil {
 		return err
@@ -197,7 +189,7 @@ func runLits(cfg *config, path1, path2 string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	dev, err := core.Deviation(mc, m1, m2, d1, d2, cfg.f, cfg.g, core.WithCounter(cfg.counter))
+	dev, err := core.Deviation(mc, m1, m2, d1, d2, cfg.f, cfg.g)
 	if err != nil {
 		return err
 	}
@@ -207,8 +199,7 @@ func runLits(cfg *config, path1, path2 string, w io.Writer) error {
 		fmt.Fprintf(w, "upper bound delta*(%s) = %.6f (no dataset scan)\n", cfg.gName, core.LitsUpperBound(m1, m2, cfg.g))
 	}
 	if cfg.qualify {
-		q, err := core.Qualify(mc, d1, d2, cfg.f, cfg.g,
-			append(qualifyOptions(cfg), core.WithCounter(cfg.counter))...)
+		q, err := core.Qualify(mc, d1, d2, cfg.f, cfg.g, qualifyOptions(cfg)...)
 		if err != nil {
 			return err
 		}
@@ -352,7 +343,7 @@ func runLitsFollow(cfg *config, refPath, streamPath string, w io.Writer) error {
 	if sd.NumItems != ref.NumItems {
 		return fmt.Errorf("stream universe %d != reference universe %d", sd.NumItems, ref.NumItems)
 	}
-	mon, err := stream.New(core.LitsWithCounter(cfg.minsup, cfg.counter), ref, monitorOptions(cfg))
+	mon, err := stream.New(core.Lits(cfg.minsup), ref, monitorOptions(cfg))
 	if err != nil {
 		return err
 	}

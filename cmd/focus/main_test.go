@@ -180,13 +180,6 @@ func TestGolden(t *testing.T) {
 			"-model", "dt", "-split-search", "hist", "-histbins", "32",
 			"-maxdepth", "5", "-minleaf", "40", "-parallelism", "1",
 			refCSV, streamCSV}},
-		// The lits golden args forced onto the bitmap backend: the counting
-		// backend must never change a byte of output (see
-		// TestCounterGoldenIdentical, which pins this golden to lits.golden).
-		{"counter-bitmap", []string{
-			"-model", "lits", "-minsup", "0.02", "-bound", "-counter", "bitmap",
-			"-qualify", "-replicates", "19", "-seed", "1", "-parallelism", "1",
-			refTxns, streamTxns}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -230,47 +223,6 @@ func TestGoldenParallelismInvariant(t *testing.T) {
 	}
 }
 
-// TestCounterGoldenIdentical proves the counting-backend equivalence at
-// the CLI level: the counter-bitmap golden must be byte-identical to the
-// lits golden (same args, different backend), and every -counter value must
-// reproduce it — in batch and follow mode.
-func TestCounterGoldenIdentical(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "golden", "lits.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitmap, err := os.ReadFile(filepath.Join("testdata", "golden", "counter-bitmap.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, bitmap) {
-		t.Errorf("counter-bitmap.golden differs from lits.golden:\n--- bitmap ---\n%s--- lits ---\n%s", bitmap, want)
-	}
-	refTxns, streamTxns, _, _ := inputs(t)
-	for _, counter := range []string{"auto", "trie", "bitmap"} {
-		var buf bytes.Buffer
-		args := []string{
-			"-model", "lits", "-minsup", "0.02", "-bound", "-counter", counter,
-			"-qualify", "-replicates", "19", "-seed", "1", "-parallelism", "1",
-			refTxns, streamTxns}
-		if err := run(args, &buf); err != nil {
-			t.Fatalf("-counter %s: %v", counter, err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("-counter %s output differs from lits.golden", counter)
-		}
-		buf.Reset()
-		follow := []string{
-			"-model", "lits", "-follow", "-minsup", "0.02", "-counter", counter,
-			"-batch", "200", "-window", "2", "-parallelism", "1",
-			refTxns, streamTxns}
-		if err := run(follow, &buf); err != nil {
-			t.Fatalf("-counter %s follow: %v", counter, err)
-		}
-		checkGolden(t, "lits-follow", buf.Bytes())
-	}
-}
-
 // TestSplitSearchGoldenIdentical proves the exact-engine equivalence at the
 // CLI level: -split-search exact is the default engine, and auto resolves
 // to exact below the size cutoff, so both must reproduce dt.golden
@@ -292,18 +244,20 @@ func TestSplitSearchGoldenIdentical(t *testing.T) {
 	}
 }
 
-// TestCounterFlagErrors pins the usage error for invalid -counter values.
+// TestCounterFlagErrors pins that the retired -counter flag is a usage
+// error for every value — formerly valid or not — rather than silently
+// accepted: the engine picks its backend from the input size alone.
 func TestCounterFlagErrors(t *testing.T) {
 	refTxns, _, _, _ := inputs(t)
-	for _, bad := range []string{"zz", "btree", "Bitmap", "vertical", "0"} {
-		t.Run(bad, func(t *testing.T) {
+	for _, value := range []string{"zz", "btree", "Bitmap", "vertical", "0", "auto", "trie", "bitmap"} {
+		t.Run(value, func(t *testing.T) {
 			var buf bytes.Buffer
-			err := run([]string{"-model", "lits", "-counter", bad, refTxns, refTxns}, &buf)
+			err := run([]string{"-model", "lits", "-counter", value, refTxns, refTxns}, &buf)
 			if err == nil {
-				t.Fatalf("-counter %q did not error", bad)
+				t.Fatalf("-counter %q did not error", value)
 			}
-			if !strings.Contains(err.Error(), "unknown counter") {
-				t.Errorf("error %q does not mention the unknown counter", err)
+			if !strings.Contains(err.Error(), "flag provided but not defined: -counter") {
+				t.Errorf("error %q does not name the undefined flag", err)
 			}
 		})
 	}
@@ -323,7 +277,7 @@ func TestRunErrors(t *testing.T) {
 		{"bad-attr", []string{"-model", "cluster", "-attrs", "nope", refCSV, streamCSV}, "unknown attribute"},
 		{"missing-file", []string{"-model", "lits", refTxns, filepath.Join(t.TempDir(), "absent.txns")}, "absent"},
 		{"bad-batch", []string{"-model", "lits", "-follow", "-batch", "0", refTxns, refTxns}, "batch size"},
-		{"bad-counter", []string{"-model", "lits", "-counter", "zz", refTxns, refTxns}, "unknown counter"},
+		{"bad-counter", []string{"-model", "lits", "-counter", "zz", refTxns, refTxns}, "flag provided but not defined"},
 		{"bad-split-search", []string{"-model", "dt", "-split-search", "btree", refCSV, streamCSV}, "unknown split search"},
 	}
 	for _, tc := range cases {

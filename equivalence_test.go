@@ -2,12 +2,14 @@ package focus_test
 
 // Equivalence sweeps of the unified pipeline: cluster qualification is
 // deterministic and parallelism-invariant, and every lits pipeline is
-// bit-identical (==, not approximately equal) across counting backends.
+// bit-identical (==, not approximately equal) on both sides of the
+// engine's backend rule.
 
 import (
 	"testing"
 
 	"focus"
+	"focus/internal/apriori"
 	"focus/internal/classgen"
 )
 
@@ -94,82 +96,114 @@ func TestClusterQualification(t *testing.T) {
 	}
 }
 
-// The counting-backend contract of the vertical-bitmap refactor: every
-// lits pipeline — batch deviation, bootstrap qualification, incremental
-// monitoring — produces bit-identical (==, not approximately equal)
-// results whether itemset supports come from the trie subset scan or from
-// the vertical TID-bitmap index, across f/g and parallelism. CI runs this
-// sweep under -race, which also exercises the memoized index build from
-// concurrent counting workers.
+// The backend contract of the lits engine: every lits pipeline — batch
+// deviation, bootstrap qualification, incremental monitoring — produces
+// bit-identical (==, not approximately equal) results whether the input's
+// vertical index fits (bitmap counting, vertical mining, view replicates,
+// the incremental window miner) or the engine takes its bounded-memory
+// fallback (trie counting, levelwise mining, materialized replicates,
+// levelwise window mining), across f/g and parallelism. Re-declaring the
+// same transactions over a wider item universe is what moves them past a
+// cap; no count changes. CI runs this sweep under -race, which also
+// exercises the memoized index build from concurrent counting workers.
 
-// TestCounterEquivalenceDeviation mines and measures through each forced
-// backend end to end and requires identical models and deviations.
+// indexCapItems is a universe wide enough that the vertical index of 2500
+// or more transactions (40+ words per item) exceeds the engine's index
+// memory cap, so every scan takes the fallback.
+const indexCapItems = 1 << 20
+
+// pairCapItems is a universe just past the incremental window miner's
+// pair-table cap, so monitor windows mine levelwise through their count
+// source.
+const pairCapItems = 6000
+
+// widen re-declares d's transactions over a universe of n items, sharing
+// their storage.
+func widen(d *focus.TxnDataset, n int) *focus.TxnDataset {
+	return focus.FromTransactions(n, d.Txns)
+}
+
+// TestCounterEquivalenceDeviation mines and measures on both sides of the
+// index cap end to end and requires identical models and deviations.
 func TestCounterEquivalenceDeviation(t *testing.T) {
 	d1, _, d3 := facadeTxnData(t)
 	const ms = 0.03
+	mc := focus.Lits(ms)
 	for _, fg := range fgCases() {
 		for _, par := range parCases {
 			devs := make([]float64, 0, 2)
 			lens := make([]int, 0, 2)
-			for _, c := range []focus.Counter{focus.CounterTrie, focus.CounterBitmap} {
-				mc := focus.LitsWithCounter(ms, c)
-				m1, err := mc.Induce(d1, par)
+			for _, items := range []int{d1.NumItems, indexCapItems} {
+				a, b := widen(d1, items), widen(d3, items)
+				m1, err := mc.Induce(a, par)
 				if err != nil {
 					t.Fatal(err)
 				}
-				m3, err := mc.Induce(d3, par)
+				m3, err := mc.Induce(b, par)
 				if err != nil {
 					t.Fatal(err)
 				}
-				dev, err := focus.Deviation(mc, m1, m3, d1, d3, fg.f, fg.g,
-					focus.WithParallelism(par), focus.WithCounter(c))
+				dev, err := focus.Deviation(mc, m1, m3, a, b, fg.f, fg.g, focus.WithParallelism(par))
 				if err != nil {
 					t.Fatal(err)
+				}
+				if items == indexCapItems && (a.HasMemo() || b.HasMemo()) {
+					t.Fatal("the fallback built a vertical index")
 				}
 				devs = append(devs, dev)
 				lens = append(lens, m1.Len()+m3.Len())
 			}
 			if lens[0] != lens[1] {
-				t.Errorf("%s/par%d: trie mined %d itemsets, bitmap %d", fg.name, par, lens[0], lens[1])
+				t.Errorf("%s/par%d: index path mined %d itemsets, fallback %d", fg.name, par, lens[0], lens[1])
 			}
 			if devs[0] != devs[1] {
-				t.Errorf("%s/par%d: trie deviation %v != bitmap %v", fg.name, par, devs[0], devs[1])
+				t.Errorf("%s/par%d: index path deviation %v != fallback %v", fg.name, par, devs[0], devs[1])
 			}
 		}
 	}
 }
 
-// TestCounterEquivalenceQualify runs the full bootstrap through each
-// backend: observed deviation, significance and the whole null
-// distribution must match exactly.
+// TestCounterEquivalenceQualify runs the full bootstrap on both sides of
+// the index cap — weighted views against materialized resamples mined
+// levelwise — and requires the observed deviation, the significance and
+// the whole null distribution to match exactly.
 func TestCounterEquivalenceQualify(t *testing.T) {
 	d1, _, d3 := facadeTxnData(t)
-	const ms = 0.03
+	mc := focus.Lits(0.03)
 	for _, fg := range fgCases() {
 		for _, par := range parCases {
-			trie, err := focus.Qualify(focus.LitsWithCounter(ms, focus.CounterTrie), d1, d3, fg.f, fg.g,
-				focus.WithReplicates(19), focus.WithSeed(13), focus.WithParallelism(par),
-				focus.WithCounter(focus.CounterTrie))
-			if err != nil {
-				t.Fatal(err)
+			var quals []focus.Qualification
+			for _, items := range []int{d1.NumItems, indexCapItems} {
+				q, err := focus.Qualify(mc, widen(d1, items), widen(d3, items), fg.f, fg.g,
+					focus.WithReplicates(19), focus.WithSeed(13), focus.WithParallelism(par))
+				if err != nil {
+					t.Fatal(err)
+				}
+				quals = append(quals, q)
 			}
-			bitmap, err := focus.Qualify(focus.LitsWithCounter(ms, focus.CounterBitmap), d1, d3, fg.f, fg.g,
-				focus.WithReplicates(19), focus.WithSeed(13), focus.WithParallelism(par),
-				focus.WithCounter(focus.CounterBitmap))
-			if err != nil {
-				t.Fatal(err)
-			}
-			qualEqual(t, "counter-"+fg.name, trie, bitmap)
+			qualEqual(t, "counter-"+fg.name, quals[0], quals[1])
 		}
 	}
 }
 
-// TestCounterEquivalenceMonitor replays one batch stream through a trie
-// monitor and a bitmap monitor (window advance, expiry, alerts,
-// qualification) and requires identical reports at every step.
+// TestCounterEquivalenceMonitor replays one batch stream through a monitor
+// whose windows mine incrementally and through one over a universe past
+// the window miner's pair-table cap, whose windows mine levelwise through
+// their count source (window advance, expiry, alerts, qualification). The
+// reports must be identical at every step, and every emitted deviation
+// must equal rebuilding the window from its raw batches.
 func TestCounterEquivalenceMonitor(t *testing.T) {
 	d1, d2, d3 := facadeTxnData(t)
 	const ms = 0.03
+	if apriori.UseWindowMiner(pairCapItems) {
+		t.Fatal("the pair-cap universe still mines incrementally")
+	}
+	mc := focus.Lits(ms)
+	wideRef := widen(d1, pairCapItems)
+	refModel, err := mc.Induce(wideRef, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, fg := range fgCases() {
 		for _, par := range parCases {
 			// Bootstrap qualification on every emission is the expensive
@@ -182,28 +216,51 @@ func TestCounterEquivalenceMonitor(t *testing.T) {
 			if fg.name == "fa-sum" {
 				opts = append(opts, focus.WithQualification())
 			}
-			trieMon, err := focus.NewMonitor(focus.LitsWithCounter(ms, focus.CounterTrie), d1, opts...)
+			narrowMon, err := focus.NewMonitor(mc, d1, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bitmapMon, err := focus.NewMonitor(focus.LitsWithCounter(ms, focus.CounterBitmap), d1, opts...)
+			wideMon, err := focus.NewMonitor(mc, wideRef, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			emitted := false
+			var window [][]focus.Transaction
 			for _, batch := range [][]focus.Transaction{
 				d2.Txns[:800], d3.Txns[:800], d2.Txns[800:1600], d3.Txns[800:1600],
 			} {
-				trieRep, err := trieMon.Ingest(focus.FromTransactions(d1.NumItems, batch))
+				narrowRep, err := narrowMon.Ingest(focus.FromTransactions(d1.NumItems, batch))
 				if err != nil {
 					t.Fatal(err)
 				}
-				bitmapRep, err := bitmapMon.Ingest(focus.FromTransactions(d1.NumItems, batch))
+				wideRep, err := wideMon.Ingest(focus.FromTransactions(pairCapItems, batch))
 				if err != nil {
 					t.Fatal(err)
 				}
-				reportsEqual(t, "counter-"+fg.name, trieRep, bitmapRep)
-				emitted = emitted || trieRep != nil
+				reportsEqual(t, "counter-"+fg.name, narrowRep, wideRep)
+				if window = append(window, batch); len(window) > 2 {
+					window = window[1:]
+				}
+				if wideRep == nil {
+					continue
+				}
+				emitted = true
+				var rows []focus.Transaction
+				for _, b := range window {
+					rows = append(rows, b...)
+				}
+				winData := focus.FromTransactions(pairCapItems, rows)
+				winModel, err := mc.Induce(winData, par)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := focus.Deviation(mc, refModel, winModel, wideRef, winData, fg.f, fg.g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wideRep.Deviation != want {
+					t.Errorf("%s/par%d: monitor deviation %v != rebuilt %v", fg.name, par, wideRep.Deviation, want)
+				}
 			}
 			if !emitted {
 				t.Fatal("monitors emitted nothing")

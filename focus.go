@@ -72,13 +72,13 @@
 // -parallelism flag), 1 forces the exact serial path, n >= 2 uses n
 // workers.
 //
-// Lits-model support counting additionally has two interchangeable
-// backends: the prefix-trie subset scan and a vertical TID-bitmap index
-// (per-item transaction bitsets intersected with popcount-fused ANDs,
-// memoized per dataset). Counts are bit-identical either way; the Counter
-// knob (WithCounter, LitsWithCounter, the CLIs' -counter flag) selects a
-// backend, with "auto" (the default) choosing per scan by dataset density
-// and candidate volume.
+// Lits-model support counting has one automatic backend rule: when a
+// dataset's vertical TID-bitmap index (per-item transaction bitsets
+// intersected with popcount-fused ANDs, memoized per dataset) is memoized
+// or fits a fixed memory cap, counting, mining, pass 1 and bootstrap
+// replicates all run through it; past the cap — huge sparse universes —
+// they fall back to the prefix-trie subset scan and levelwise Apriori.
+// Counts are bit-identical either way, so there is no knob.
 //
 // The monitoring regime runs continuously through NewMonitor: batches enter
 // a sliding or tumbling window whose model is maintained incrementally from
@@ -121,28 +121,6 @@ import (
 // Deviations are bit-identical for every setting; the knob trades wall-clock
 // speed against CPU use.
 func SetParallelism(n int) { parallel.SetDefault(n) }
-
-// Counter selects the itemset-support counting backend of lits-model scans:
-// the prefix-trie subset scan over transactions, or the vertical TID-bitmap
-// index intersecting per-item transaction bitsets with popcount-fused ANDs.
-// Counts — and therefore models, deviations, significances and monitor
-// reports — are bit-identical for every backend; the knob trades index
-// construction against scan speed.
-type Counter = apriori.Counter
-
-const (
-	// CounterAuto picks trie or bitmap per scan from the dataset density
-	// and the candidate itemset volume (the built-in default).
-	CounterAuto Counter = apriori.CounterAuto
-	// CounterTrie forces the prefix-trie subset scan.
-	CounterTrie Counter = apriori.CounterTrie
-	// CounterBitmap forces the vertical TID-bitmap backend.
-	CounterBitmap Counter = apriori.CounterBitmap
-)
-
-// ParseCounter validates a counting-backend name ("auto", "trie" or
-// "bitmap"; "" means auto).
-func ParseCounter(name string) (Counter, error) { return apriori.ParseCounter(name) }
 
 // Difference and aggregate functions (Definition 3.7).
 type (
@@ -256,20 +234,8 @@ type (
 )
 
 // Lits returns the lits-model class: frequent itemsets mined by Apriori at
-// the given minimum support (Section 2.2), counting through the
-// auto-selected backend.
+// the given minimum support (Section 2.2).
 func Lits(minSupport float64) ModelClass[*TxnDataset, *LitsModel] { return core.Lits(minSupport) }
-
-// LitsWithCounter is Lits with an explicit vertical-engine backend, one
-// decision for every support operation the class performs — mining
-// (levelwise trie passes vs the intersection-driven vertical DFS), GCR
-// measurement, bootstrap replicates (materialized resamples vs weighted
-// views over the memoized index), and streaming monitor windows
-// (per-batch counts and incremental window mining). Models and reports
-// are bit-identical for every Counter.
-func LitsWithCounter(minSupport float64, c Counter) ModelClass[*TxnDataset, *LitsModel] {
-	return core.LitsWithCounter(minSupport, c)
-}
 
 // DT returns the dt-model class: decision trees grown with cfg, compared
 // over the overlay of their leaf partitions (Section 2.1, Definition 4.2).
@@ -293,12 +259,6 @@ func Cluster(g *Grid, minDensity float64) ModelClass[*Dataset, *ClusterModel] {
 // exact serial path, n >= 2 = n workers); results are bit-identical for
 // every setting.
 func WithParallelism(n int) Option { return core.WithParallelism(n) }
-
-// WithCounter selects the lits vertical-engine backend for the pipeline —
-// counting, mining, and bootstrap views follow the one knob; results are
-// bit-identical for every backend. Monitors take their backend from the
-// model class instead (LitsWithCounter).
-func WithCounter(c Counter) Option { return core.WithCounter(c) }
 
 // WithFocus restricts the deviation to a box region (Definition 5.2).
 // Honoured by classes with box regions (DT); ignored elsewhere.

@@ -121,8 +121,6 @@ type FrequentSet struct {
 	Itemsets []Itemset
 	// Counts holds the absolute support count of each itemset.
 	Counts []int
-
-	index map[string]int
 }
 
 // Len returns the number of frequent itemsets.
@@ -134,24 +132,6 @@ func (f *FrequentSet) Support(i int) float64 {
 		return 0
 	}
 	return float64(f.Counts[i]) / float64(f.N)
-}
-
-// Lookup returns the index of itemset s, or -1 when s is not frequent.
-func (f *FrequentSet) Lookup(s Itemset) int {
-	if f.index == nil {
-		f.buildIndex()
-	}
-	if i, ok := f.index[s.Key()]; ok {
-		return i
-	}
-	return -1
-}
-
-func (f *FrequentSet) buildIndex() {
-	f.index = make(map[string]int, len(f.Itemsets))
-	for i, s := range f.Itemsets {
-		f.index[s.Key()] = i
-	}
 }
 
 func (f *FrequentSet) sortLex() {
@@ -167,12 +147,11 @@ func (f *FrequentSet) sortLex() {
 		cnt[i] = f.Counts[j]
 	}
 	f.Itemsets, f.Counts = its, cnt
-	f.index = nil
 }
 
 // Source abstracts the dataset access Apriori needs: the pass-1 per-item
-// counts and the support counts of an arbitrary candidate collection. A
-// *txn.Dataset is the obvious source (datasetSource); a windowed monitor
+// counts and the support counts of an arbitrary candidate collection. An
+// Engine adapts a *txn.Dataset to a Source; a windowed monitor
 // supplies a source that sums cached per-batch counts instead of rescanning
 // (internal/stream). Since Apriori's control flow depends only on the
 // integer counts a source returns, two sources returning equal counts mine
@@ -190,18 +169,8 @@ type Source interface {
 	Count(sets []Itemset) []int
 }
 
-// NewSource adapts a *txn.Dataset to a Source with explicit parallelism
-// and counting-backend knobs, by returning the vertical execution Engine
-// over it — the seam through which Mine/MineFrom, the generic lits model
-// class and the streaming window summaries select the trie or bitmap
-// backend. Both backends return bit-identical counts, so the mined
-// frequent sets are independent of the knobs.
-func NewSource(d *txn.Dataset, parallelism int, counter Counter) Source {
-	return NewEngine(d, parallelism, counter)
-}
-
 // horizontalItemCounts is the raw pass-1 scan — per-item occurrence counts
-// by walking the transactions — shared by the trie-backed Source and the
+// by walking the transactions — shared by the engine's fallback and the
 // vertical-index build (which cannot route through the memoized index it
 // is itself constructing). Per-shard integer vectors merge in shard order,
 // so the counts are identical for every worker count.
@@ -239,21 +208,12 @@ func Mine(d *txn.Dataset, minSupport float64) (*FrequentSet, error) {
 }
 
 // MineP is Mine with a parallelism knob (0 = the process default, 1 = the
-// exact serial path): the per-pass support counting — the dense item
-// counters of pass 1 and the candidate counting of every later pass — and
-// the vertical miner's subtree walk both shard across workers with
-// shard-order merges, so the mined frequent sets are bit-identical to the
-// serial miner for every worker count.
+// exact serial path): the vertical miner's subtree walk — or, past the
+// index memory cap, the levelwise miner's per-pass support counting —
+// shards across workers with shard-order merges, so the mined frequent
+// sets are bit-identical to the serial miner for every worker count.
 func MineP(d *txn.Dataset, minSupport float64, parallelism int) (*FrequentSet, error) {
-	return NewEngine(d, parallelism, CounterDefault).Mine(minSupport)
-}
-
-// MineWith is MineP with an explicit backend knob, which selects the
-// mining strategy along with the counting backend (trie → levelwise
-// Apriori, bitmap → vertical Eclat, auto → per-dataset decision); the
-// mined frequent sets are bit-identical for every Counter.
-func MineWith(d *txn.Dataset, minSupport float64, parallelism int, counter Counter) (*FrequentSet, error) {
-	return NewEngine(d, parallelism, counter).Mine(minSupport)
+	return NewEngine(d, parallelism).Mine(minSupport)
 }
 
 // minSupportError is the shared out-of-range error of every miner entry.

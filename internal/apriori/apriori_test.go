@@ -2,6 +2,7 @@ package apriori
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -60,14 +61,14 @@ func TestMineLowerSupportFindsMore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// {0,1,2} occurs once and must be found.
-	if fs.Lookup(NewItemset(0, 1, 2)) < 0 {
+	if lookup(fs, NewItemset(0, 1, 2)) < 0 {
 		t.Error("triple {0,1,2} not found at support 1/6")
 	}
-	if fs.Lookup(NewItemset(3)) < 0 {
+	if lookup(fs, NewItemset(3)) < 0 {
 		t.Error("singleton {3} not found at support 1/6")
 	}
 	// {1,3} never occurs.
-	if fs.Lookup(NewItemset(1, 3)) >= 0 {
+	if lookup(fs, NewItemset(1, 3)) >= 0 {
 		t.Error("non-occurring itemset reported frequent")
 	}
 }
@@ -122,7 +123,7 @@ func TestDownwardClosureProperty(t *testing.T) {
 						sub = append(sub, it)
 					}
 				}
-				k := fs.Lookup(sub)
+				k := lookup(fs, sub)
 				if k < 0 {
 					t.Fatalf("trial %d: subset %v of frequent %v missing", trial, sub, s)
 				}
@@ -171,7 +172,7 @@ func TestMineCompleteness(t *testing.T) {
 			}
 		}
 		c := d.Count(s)
-		found := fs.Lookup(s) >= 0
+		found := lookup(fs, s) >= 0
 		if c >= minCount && !found {
 			t.Errorf("itemset %v with count %d >= %d not mined", s, c, minCount)
 		}
@@ -263,13 +264,23 @@ func TestFrequentSetSupport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := fs.Lookup(NewItemset(0))
+	i := lookup(fs, NewItemset(0))
 	if i < 0 {
 		t.Fatal("{0} not frequent")
 	}
 	if got := fs.Support(i); got != 5.0/6 {
 		t.Errorf("Support({0}) = %v, want %v", got, 5.0/6)
 	}
+}
+
+// lookup returns the index of s in fs, or -1 when s is not frequent, by
+// binary search over the lexicographically ordered itemsets.
+func lookup(fs *FrequentSet, s Itemset) int {
+	i := sort.Search(fs.Len(), func(i int) bool { return !fs.Itemsets[i].Less(s) })
+	if i < fs.Len() && fs.Itemsets[i].Equal(s) {
+		return i
+	}
+	return -1
 }
 
 func TestCloneIndependent(t *testing.T) {

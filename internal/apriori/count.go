@@ -71,38 +71,21 @@ func (n *trieNode) countIn(t txn.Transaction, counts []int) {
 }
 
 // CountItemsets returns, for each itemset in sets, the absolute number of
-// transactions of d containing it, serially and through the backend
-// CounterAuto picks: one trie scan of d, or intersections over its
-// memoized vertical index. The empty itemset counts every transaction.
-// This is the single-scan measure computation FOCUS relies on when
-// extending lits-models to their GCR (Section 3.3.1).
+// transactions of d containing it, serially, through the backend
+// indexFits selects: intersections over d's (memoized) vertical index, or
+// one trie scan of d. The empty itemset counts every transaction. This is
+// the single-scan measure computation FOCUS relies on when extending
+// lits-models to their GCR (Section 3.3.1).
 func CountItemsets(d *txn.Dataset, sets []Itemset) []int {
 	return CountItemsetsP(d, sets, 1)
 }
 
-// CountItemsetsP is CountItemsets with a parallelism knob. Counts are
-// bit-identical for every backend and worker count.
+// CountItemsetsP is CountItemsets with a parallelism knob (0 = the process
+// default, 1 = the exact serial path, n = n workers). Both backends
+// produce bit-identical integer counts for every worker count (pinned by
+// the differential harness in count_diff_test.go).
 func CountItemsetsP(d *txn.Dataset, sets []Itemset, parallelism int) []int {
-	return CountItemsetsC(d, sets, parallelism, CounterDefault)
-}
-
-// CountItemsetsC is the counting entry point with both knobs explicit: a
-// parallelism (0 = the process default, 1 = the exact serial path, n = n
-// workers) and a Counter backend. The trie backend walks every transaction
-// through a candidate prefix trie; the bitmap backend intersects per-item
-// transaction bitsets from the dataset's memoized vertical index;
-// CounterAuto picks per call by density × candidate volume. Both backends
-// produce bit-identical integer counts (pinned by the differential harness
-// in count_diff_test.go), so the knob trades construction and scan costs
-// only.
-func CountItemsetsC(d *txn.Dataset, sets []Itemset, parallelism int, counter Counter) []int {
-	if len(sets) == 0 || d.Len() == 0 {
-		return make([]int, len(sets))
-	}
-	if resolveCounter(counter, d, len(sets)) == CounterBitmap {
-		return CountItemsetsBitmap(d, sets, parallelism)
-	}
-	return CountItemsetsTrie(d, sets, parallelism)
+	return NewEngine(d, parallelism).Count(sets)
 }
 
 // CountItemsetsBitmap counts through the vertical TID-bitmap index
@@ -151,19 +134,12 @@ func CountItemsetsTrie(d *txn.Dataset, sets []Itemset, parallelism int) []int {
 }
 
 // ItemCountsP returns the absolute per-item support counts of d (Apriori's
-// pass 1) with a parallelism knob. Per-item counts are the mergeable
-// pass-1 summary of a windowed monitor: vectors from disjoint batches add
-// (and subtract) into the counts a single scan of their union would produce.
+// pass 1) with a parallelism knob, from d's vertical index when it fits.
+// Per-item counts are the mergeable pass-1 summary of a windowed monitor:
+// vectors from disjoint batches add (and subtract) into the counts a
+// single scan of their union would produce.
 func ItemCountsP(d *txn.Dataset, parallelism int) []int {
-	return ItemCountsWith(d, parallelism, CounterDefault)
-}
-
-// ItemCountsWith is ItemCountsP with an explicit counting backend: the
-// bitmap backend serves the counts from the memoized vertical index
-// (priming it for the candidate counting that follows), any other backend
-// scans horizontally.
-func ItemCountsWith(d *txn.Dataset, parallelism int, counter Counter) []int {
-	return NewSource(d, parallelism, counter).ItemCounts()
+	return NewEngine(d, parallelism).ItemCounts()
 }
 
 // CountItemsetsBrute is the quadratic reference implementation of

@@ -9,6 +9,7 @@ package apriori
 // the sweep to arbitrary encoded inputs.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -90,7 +91,7 @@ func TestCountBackendsEquivalent(t *testing.T) {
 			for _, p := range []int{1, 4, 0} {
 				assertSameCounts(t, "trie", want, CountItemsetsTrie(d, sets, p))
 				assertSameCounts(t, "bitmap", want, CountItemsetsBitmap(d, sets, p))
-				assertSameCounts(t, "auto", want, CountItemsetsC(d, sets, p, CounterAuto))
+				assertSameCounts(t, "auto", want, CountItemsetsP(d, sets, p))
 			}
 		})
 	}
@@ -100,15 +101,20 @@ func TestCountBackendsEquivalent(t *testing.T) {
 func TestCountBackendsEmptyInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2000))
 	d := diffDataset(rng, 100, 30, 5)
-	for _, c := range []Counter{CounterTrie, CounterBitmap, CounterAuto} {
-		if got := CountItemsetsC(d, nil, 4, c); len(got) != 0 {
-			t.Fatalf("%s: empty sets returned %v", c, got)
+	backends := map[string]func(*txn.Dataset, []Itemset) []int{
+		"trie":   func(d *txn.Dataset, sets []Itemset) []int { return CountItemsetsTrie(d, sets, 4) },
+		"bitmap": func(d *txn.Dataset, sets []Itemset) []int { return CountItemsetsBitmap(d, sets, 4) },
+		"auto":   func(d *txn.Dataset, sets []Itemset) []int { return CountItemsetsP(d, sets, 4) },
+	}
+	for name, count := range backends {
+		if got := count(d, nil); len(got) != 0 {
+			t.Fatalf("%s: empty sets returned %v", name, got)
 		}
 		empty := txn.New(30)
-		got := CountItemsetsC(empty, diffItemsets(rng, 5, 30), 4, c)
+		got := count(empty, diffItemsets(rng, 5, 30))
 		for i, v := range got {
 			if v != 0 {
-				t.Fatalf("%s: empty dataset count[%d] = %d", c, i, v)
+				t.Fatalf("%s: empty dataset count[%d] = %d", name, i, v)
 			}
 		}
 	}
@@ -122,29 +128,78 @@ func TestCountBackendsEmptyInputs(t *testing.T) {
 	}
 }
 
-// TestMineWithBackendsIdentical mines the same dataset through both
-// backends and requires bit-identical frequent sets.
+// TestMineWithBackendsIdentical mines the same dataset levelwise over the
+// trie, by the vertical DFS, and through the engine, and requires
+// bit-identical frequent sets.
 func TestMineWithBackendsIdentical(t *testing.T) {
 	d := randomCountDataset(1200, 50, 77)
-	trie, err := MineWith(d, 0.04, 1, CounterTrie)
+	trie, err := mineLevelwise(d, 0.04, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []Counter{CounterBitmap, CounterAuto} {
+	miners := map[string]func(int) (*FrequentSet, error){
+		"vertical": func(p int) (*FrequentSet, error) { return MineVertical(d, 0.04, p) },
+		"engine":   func(p int) (*FrequentSet, error) { return MineP(d, 0.04, p) },
+	}
+	for name, mine := range miners {
 		for _, p := range []int{1, 4} {
-			got, err := MineWith(d, 0.04, p, c)
+			got, err := mine(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Len() != trie.Len() {
-				t.Fatalf("%s/par%d: %d frequent itemsets, trie %d", c, p, got.Len(), trie.Len())
-			}
-			for i := range trie.Itemsets {
-				if !got.Itemsets[i].Equal(trie.Itemsets[i]) || got.Counts[i] != trie.Counts[i] {
-					t.Fatalf("%s/par%d: itemset %d mismatch", c, p, i)
-				}
-			}
+			assertSameMine(t, fmt.Sprintf("%s/par%d", name, p), trie, got)
 		}
+	}
+}
+
+// TestIndexFits pins the engine's one backend decision at its boundary:
+// 2^20 items cost 24+8·Words(N) bytes each, so up to 29 words (1856
+// transactions) fit the 2^28-byte cap and 30 words do not; a memoized
+// index always fits.
+func TestIndexFits(t *testing.T) {
+	wide := func(n int) *txn.Dataset { return &txn.Dataset{NumItems: 1 << 20, Txns: make([]txn.Transaction, n)} }
+	if !indexFits(wide(1856)) {
+		t.Fatal("a 29-word index over 2^20 items does not fit")
+	}
+	if indexFits(wide(1857)) {
+		t.Fatal("a 30-word index over 2^20 items fits")
+	}
+	d := randomCountDataset(300, 25, 81)
+	VerticalIndexOf(d, 1)
+	d.NumItems = 1 << 30
+	if !indexFits(d) {
+		t.Fatal("a memoized index does not fit")
+	}
+}
+
+// TestEngineFallback drives the engine past the index memory cap — a
+// 50000-item universe over 43000 transactions needs 672 words per item —
+// and requires that it builds no index and still counts, mines and
+// scans pass 1 exactly like the index path over the same transactions.
+func TestEngineFallback(t *testing.T) {
+	rng := rand.New(rand.NewSource(82))
+	small := diffDataset(rng, 43000, 40, 3)
+	wide := &txn.Dataset{NumItems: 50000, Txns: small.Txns}
+	if indexFits(wide) {
+		t.Fatal("the wide dataset fits the index cap")
+	}
+	sets := diffItemsets(rng, 60, 40)
+	assertSameCounts(t, "fallback count", CountItemsetsP(small, sets, 2), CountItemsetsP(wide, sets, 2))
+	want, err := MineP(small, 0.01, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := MineP(wide, 0.01, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameMine(t, "fallback mine", want, got)
+	assertSameCounts(t, "fallback pass 1", ItemCountsP(small, 1), ItemCountsP(wide, 1)[:40])
+	if wide.HasMemo() {
+		t.Fatal("the fallback built a vertical index")
+	}
+	if UseViewBootstrap(wide) {
+		t.Fatal("the fallback took the view bootstrap")
 	}
 }
 
@@ -189,27 +244,6 @@ func TestParseCounter(t *testing.T) {
 		if _, err := ParseCounter(name); err == nil {
 			t.Fatalf("ParseCounter(%q) accepted an invalid backend", name)
 		}
-	}
-}
-
-// TestInvalidCounterPanics pins that a Counter outside the vocabulary —
-// set directly rather than through ParseCounter — fails loudly instead of
-// silently running the trie.
-func TestInvalidCounterPanics(t *testing.T) {
-	d := randomCountDataset(10, 5, 80)
-	cases := map[string]func(){
-		"CountItemsetsC": func() { CountItemsetsC(d, []Itemset{{0}}, 1, "btree") },
-		"NewSource":      func() { NewSource(d, 1, "btree") },
-	}
-	for name, fn := range cases {
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s accepted an unknown counter silently", name)
-				}
-			}()
-			fn()
-		})
 	}
 }
 
@@ -273,6 +307,6 @@ func FuzzCountBackends(f *testing.F) {
 			assertSameCounts(t, "trie", want, CountItemsetsTrie(d, sets, p))
 			assertSameCounts(t, "bitmap", want, CountItemsetsBitmap(d, sets, p))
 		}
-		assertSameCounts(t, "auto", want, CountItemsetsC(d, sets, 2, CounterAuto))
+		assertSameCounts(t, "auto", want, CountItemsetsP(d, sets, 2))
 	})
 }

@@ -57,6 +57,27 @@ func bruteMine(d *txn.Dataset, minSupport float64) *FrequentSet {
 	return out
 }
 
+// trieSource is the engine's bounded-memory fallback forced on any
+// dataset: pass 1 by a horizontal scan, every candidate pass through the
+// trie.
+type trieSource struct {
+	d           *txn.Dataset
+	parallelism int
+}
+
+func (s trieSource) NumTxns() int      { return s.d.Len() }
+func (s trieSource) NumItems() int     { return s.d.NumItems }
+func (s trieSource) ItemCounts() []int { return horizontalItemCounts(s.d, s.parallelism) }
+func (s trieSource) Count(sets []Itemset) []int {
+	return CountItemsetsTrie(s.d, sets, s.parallelism)
+}
+
+// mineLevelwise mines d by levelwise Apriori over the trie, whatever the
+// index would cost — the fallback's miner as a reference.
+func mineLevelwise(d *txn.Dataset, minSupport float64, parallelism int) (*FrequentSet, error) {
+	return MineFrom(trieSource{d, parallelism}, minSupport)
+}
+
 // assertSameMine fails unless got matches want itemset-for-itemset,
 // count-for-count, in the same order.
 func assertSameMine(t *testing.T, label string, want, got *FrequentSet) {
@@ -103,7 +124,7 @@ func TestMineBackendsDifferential(t *testing.T) {
 			for _, ms := range []float64{0.01, 0.05, 0.2, 0.7, 1.0} {
 				want := bruteMine(d, ms)
 				for _, p := range []int{1, 4, 0} {
-					trie, err := MineWith(d, ms, p, CounterTrie)
+					trie, err := mineLevelwise(d, ms, p)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -128,7 +149,7 @@ func TestMineEmptyAndEdgeCases(t *testing.T) {
 		name string
 		fn   func(*txn.Dataset, float64) (*FrequentSet, error)
 	}{
-		{"trie", func(d *txn.Dataset, ms float64) (*FrequentSet, error) { return MineWith(d, ms, 1, CounterTrie) }},
+		{"trie", func(d *txn.Dataset, ms float64) (*FrequentSet, error) { return mineLevelwise(d, ms, 1) }},
 		{"vertical", func(d *txn.Dataset, ms float64) (*FrequentSet, error) { return MineVertical(d, ms, 1) }},
 	} {
 		t.Run(mine.name, func(t *testing.T) {
@@ -174,7 +195,7 @@ func FuzzMineBackends(f *testing.F) {
 			t.Fatalf("decoder produced an invalid dataset: %v", err)
 		}
 		minSupport := (float64(msRaw%100) + 1) / 100
-		want, err := MineWith(d, minSupport, 1, CounterTrie)
+		want, err := mineLevelwise(d, minSupport, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

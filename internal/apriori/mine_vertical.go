@@ -326,40 +326,35 @@ func minCountFor(minSupport float64, n int) int {
 	return minCount
 }
 
-// MineVertical mines d through the vertical engine regardless of the auto
-// decision — bit-identical to Mine/MineWith on any backend.
-func MineVertical(d *txn.Dataset, minSupport float64, parallelism int) (*FrequentSet, error) {
-	return NewEngine(d, parallelism, CounterBitmap).Mine(minSupport)
-}
-
-// mineVertical runs the Eclat/dEclat DFS over an index. itemCounts are the
-// (weighted) pass-1 supports and n the (weighted) transaction total; mult
-// nil mines the indexed dataset itself, non-nil mines a multiplicity-
-// weighted view of it. Frequent-item subtrees are sharded across workers;
+// MineVertical mines d by the Eclat/dEclat DFS over its (memoized)
+// vertical index, regardless of the index memory cap — bit-identical to
+// levelwise mining. Frequent-item subtrees are sharded across workers;
 // per-shard outputs concatenate in shard order, which is DFS preorder ==
 // lexicographic order, so results are identical for every worker count.
-func mineVertical(d *txn.Dataset, ix *VerticalIndex, mult []int32, itemCounts []int, n int, minSupport float64, parallelism int) (*FrequentSet, error) {
+func MineVertical(d *txn.Dataset, minSupport float64, parallelism int) (*FrequentSet, error) {
 	if minSupport <= 0 || minSupport > 1 {
 		return nil, minSupportError(minSupport)
 	}
+	n := d.Len()
 	out := &FrequentSet{MinSupport: minSupport, N: n}
 	if n == 0 {
 		return out, nil
 	}
+	ix := VerticalIndexOf(d, parallelism)
 	minCount := minCountFor(minSupport, n)
-	roots := rootNodes(ix, itemCounts, minCount, nil)
+	roots := rootNodes(ix, ix.itemCounts, minCount, nil)
 	if len(roots) == 0 {
 		return out, nil
 	}
 	pairs := &pairTable{}
-	pairs.countPairs(d, mult, roots)
+	pairs.countPairs(d, nil, roots)
 	workers := parallel.Workers(parallelism)
 	if workers > len(roots) {
 		workers = len(roots)
 	}
 	if workers == 1 {
 		m := newVminer(ix.n)
-		m.reset(mult, minCount)
+		m.reset(nil, minCount)
 		m.pairCount = pairs.at
 		m.mineRoots(roots, 0, len(roots))
 		out.Itemsets, out.Counts = m.its, m.counts
@@ -369,7 +364,7 @@ func mineVertical(d *txn.Dataset, ix *VerticalIndex, mult []int32, itemCounts []
 	miners := make([]*vminer, len(chunks))
 	parallel.Do(len(chunks), len(chunks), func(shard int, _ parallel.Chunk) {
 		m := newVminer(ix.n)
-		m.reset(mult, minCount)
+		m.reset(nil, minCount)
 		m.pairCount = pairs.at // read-only during mining, safe to share
 		m.mineRoots(roots, chunks[shard].Lo, chunks[shard].Hi)
 		miners[shard] = m

@@ -13,91 +13,27 @@ import (
 // mapped once to the bitset of transactions containing it, and the support
 // of an itemset is the popcount of the AND of its items' bitsets. The two
 // backends are exact alternatives — bit-identical integer counts — so the
-// Counter knob is purely a performance choice; the differential harness in
-// count_diff_test.go pins the equivalence down.
+// engine's choice between them (indexFits) is purely one of memory and
+// speed; the differential harness in count_diff_test.go pins the
+// equivalence down.
 
-// Counter selects the itemset-support counting backend.
+// Counter is the name of a retired counting-backend knob. focusd session
+// configs — and so their snapshots and peer exports — still carry it, so
+// it is validated (ParseCounter) and otherwise ignored: every lits scan
+// takes the backend indexFits selects.
 type Counter string
 
-const (
-	// CounterDefault is the unset knob (the zero value, and what snapshots
-	// and requests that omit a counter carry); it means CounterAuto.
-	CounterDefault Counter = ""
-	// CounterAuto picks trie or bitmap per call from the dataset density
-	// and the candidate itemset volume.
-	CounterAuto Counter = "auto"
-	// CounterTrie forces the prefix-trie subset scan over transactions.
-	CounterTrie Counter = "trie"
-	// CounterBitmap forces the vertical TID-bitmap backend.
-	CounterBitmap Counter = "bitmap"
-)
+// CounterDefault is the unset knob (the zero value, and what snapshots and
+// requests that omit a counter carry).
+const CounterDefault Counter = ""
 
-// ParseCounter validates a counter name ("auto", "trie" or "bitmap"; ""
-// means auto).
+// ParseCounter validates a counter name: "", "auto", "trie" or "bitmap".
 func ParseCounter(name string) (Counter, error) {
-	switch c := Counter(name); c {
-	case CounterDefault, CounterAuto, CounterTrie, CounterBitmap:
-		return c, nil
-	default:
-		return CounterDefault, fmt.Errorf("apriori: unknown counter %q (want auto, trie or bitmap)", name)
+	switch name {
+	case "", "auto", "trie", "bitmap":
+		return Counter(name), nil
 	}
-}
-
-// MustCounter panics on a Counter value outside the known vocabulary —
-// the guard for knobs set directly (Config literals, class constructors)
-// rather than through ParseCounter. Failing at the call site beats
-// silently running a backend the caller did not choose.
-func MustCounter(c Counter) {
-	if _, err := ParseCounter(string(c)); err != nil {
-		panic(err.Error())
-	}
-}
-
-// resolveDefault validates c and maps CounterDefault to CounterAuto, the
-// one place the unset knob is given its meaning.
-func resolveDefault(c Counter) Counter {
-	MustCounter(c)
-	if c == CounterDefault {
-		return CounterAuto
-	}
-	return c
-}
-
-// autoIndexBytes caps the estimated vertical-index footprint (bytes) up to
-// which CounterAuto will pick the bitmap backend; an explicit CounterBitmap
-// is never capped.
-const autoIndexBytes = 1 << 28
-
-// resolveCounter turns any Counter knob into a concrete backend for
-// counting nsets candidate itemsets against d.
-func resolveCounter(c Counter, d *txn.Dataset, nsets int) Counter {
-	if c = resolveDefault(c); c != CounterAuto {
-		return c
-	}
-	// An already-memoized index makes bitmap counting nearly free — no
-	// build to pay, no O(|D|) density probe worth running.
-	if d.HasMemo() {
-		return CounterBitmap
-	}
-	// The trie pays one subset-descent per transaction per scan; the bitmap
-	// pays word-parallel intersections per itemset plus an (amortized,
-	// memoized) index build. Bitmap wins once the dataset is wide enough for
-	// whole words and the work volume — candidate count times item density —
-	// outweighs the per-itemset setup (the density probe walks the
-	// transaction headers once, a cost on the order of the trie scan it is
-	// deciding against); tiny candidate lists or near-empty transactions
-	// stay on the trie.
-	if d.Len() < 128 || nsets < 8 {
-		return CounterTrie
-	}
-	if d.NumItems > 0 && int64(d.NumItems)*int64(bitset.Words(d.Len()))*8 > autoIndexBytes {
-		return CounterTrie
-	}
-	density := d.AvgLen() / float64(d.NumItems)
-	if density*float64(nsets) < 0.5 {
-		return CounterTrie
-	}
-	return CounterBitmap
+	return CounterDefault, fmt.Errorf("apriori: unknown counter %q (want auto, trie or bitmap)", name)
 }
 
 // VerticalIndex is the vertical form of a transaction dataset: for each
@@ -116,23 +52,12 @@ type VerticalIndex struct {
 // transaction scan across Workers(parallelism) workers on bitset-word
 // boundaries so shards never share a word.
 func BuildVerticalIndex(d *txn.Dataset, parallelism int) *VerticalIndex {
-	return buildVerticalIndex(d, parallelism, nil)
-}
-
-// buildVerticalIndex is BuildVerticalIndex with an optional precomputed
-// pass-1 vector (nil = compute it here), so a Source that already scanned
-// the items does not pay the scan twice. The caller must not mutate a
-// supplied vector afterwards.
-func buildVerticalIndex(d *txn.Dataset, parallelism int, itemCounts []int) *VerticalIndex {
-	if itemCounts == nil {
-		// Pass 1: per-item occurrence counts, so only present items
-		// allocate a bitset.
-		itemCounts = horizontalItemCounts(d, parallelism)
-	}
+	// Pass 1: per-item occurrence counts, so only present items allocate a
+	// bitset.
 	ix := &VerticalIndex{
 		n:          d.Len(),
 		items:      make([]bitset.Set, d.NumItems),
-		itemCounts: itemCounts,
+		itemCounts: horizontalItemCounts(d, parallelism),
 	}
 	for it, c := range ix.itemCounts {
 		if c > 0 {
@@ -167,14 +92,7 @@ func (ix *VerticalIndex) fill(d *txn.Dataset, c parallel.Chunk) {
 // must not be mutated afterwards (see txn.Dataset.Memo, whose single slot
 // this package owns).
 func VerticalIndexOf(d *txn.Dataset, parallelism int) *VerticalIndex {
-	return verticalIndexWith(d, parallelism, nil)
-}
-
-// verticalIndexWith is VerticalIndexOf with an optional precomputed pass-1
-// vector forwarded to the build (only consulted when the index is not
-// memoized yet).
-func verticalIndexWith(d *txn.Dataset, parallelism int, itemCounts []int) *VerticalIndex {
-	memo := d.Memo(func() any { return buildVerticalIndex(d, parallelism, itemCounts) })
+	memo := d.Memo(func() any { return BuildVerticalIndex(d, parallelism) })
 	ix, ok := memo.(*VerticalIndex)
 	if !ok {
 		panic(fmt.Sprintf("apriori: dataset memo slot holds a foreign %T (the slot is reserved for the vertical index)", memo))

@@ -135,25 +135,7 @@ func (v *View) CountOne(s Itemset) int {
 }
 
 // UseViewBootstrap reports whether lits bootstrap replicates over the pool
-// d should run as weighted views through the vertical engine: yes unless
-// the knob forces the trie, the pool is tiny, or the index would blow the
-// auto memory cap. One shared index amortizes over every replicate, so the
-// density probe of per-scan resolution does not apply.
-func UseViewBootstrap(c Counter, d *txn.Dataset) bool {
-	switch resolveDefault(c) {
-	case CounterTrie:
-		return false
-	case CounterBitmap:
-		return true
-	}
-	if d.HasMemo() {
-		return true
-	}
-	if d.Len() < 128 {
-		return false
-	}
-	if d.NumItems > 0 && int64(d.NumItems)*int64(bitset.Words(d.Len()))*8 > autoIndexBytes {
-		return false
-	}
-	return true
-}
+// d should run as weighted views through its vertical index: yes exactly
+// when the index fits (indexFits). One shared index amortizes over every
+// replicate.
+func UseViewBootstrap(d *txn.Dataset) bool { return indexFits(d) }

@@ -14,24 +14,24 @@ import (
 // mergeable streaming summary is the per-batch itemset support count.
 type litsClass struct {
 	minSupport float64
-	counter    apriori.Counter
 }
 
 // Lits returns the lits-model class instance mining frequent itemsets at
-// the given minimum support, counting through the auto-selected backend.
+// the given minimum support. Every scan the class performs — mining, GCR
+// measurement, bootstrap replicates and the per-batch counts of streaming
+// windows — runs through the apriori engine's one backend decision.
 func Lits(minSupport float64) ModelClass[*txn.Dataset, *LitsModel] {
-	return LitsWithCounter(minSupport, apriori.CounterDefault)
+	return litsClass{minSupport: minSupport}
 }
 
-// LitsWithCounter is Lits with an explicit itemset-counting backend, used
-// for every scan the class performs — mining, GCR measurement, and the
-// per-batch counts of streaming windows. Models, deviations and reports
-// are bit-identical for every Counter; Config.Counter (WithCounter)
-// overrides it for batch-pipeline measurement scans. Unknown backends
-// panic here, at the construction site, rather than at the first scan.
+// LitsWithCounter is Lits for callers that still carry a retired counter
+// name (perfbench replays focusd session configs through it): the name is
+// validated — an unknown one panics — and otherwise ignored.
 func LitsWithCounter(minSupport float64, counter apriori.Counter) ModelClass[*txn.Dataset, *LitsModel] {
-	apriori.MustCounter(counter)
-	return litsClass{minSupport: minSupport, counter: counter}
+	if _, err := apriori.ParseCounter(string(counter)); err != nil {
+		panic(err.Error())
+	}
+	return Lits(minSupport)
 }
 
 func (litsClass) Name() string { return "lits" }
@@ -45,16 +45,7 @@ func (litsClass) Resample(d *txn.Dataset, n int, rng *rand.Rand) *txn.Dataset {
 }
 
 func (c litsClass) Induce(d *txn.Dataset, parallelism int) (*LitsModel, error) {
-	return MineLitsWith(d, c.minSupport, parallelism, c.counter)
-}
-
-// counterFor resolves the backend of a measurement scan: an explicit
-// Config.Counter (WithCounter) wins over the class's own backend.
-func (c litsClass) counterFor(cfg *Config) apriori.Counter {
-	if cfg.Counter != apriori.CounterDefault {
-		return cfg.Counter
-	}
-	return c.counter
+	return MineLitsP(d, c.minSupport, parallelism)
 }
 
 func (c litsClass) MeasureGCR(m1, m2 *LitsModel, d1, d2 *txn.Dataset, cfg *Config) ([]MeasuredRegion, error) {
@@ -71,9 +62,8 @@ func (c litsClass) MeasureGCR(m1, m2 *LitsModel, d1, d2 *txn.Dataset, cfg *Confi
 		}
 		gcr = kept
 	}
-	counter := c.counterFor(cfg)
-	c1 := apriori.CountItemsetsC(d1, gcr, cfg.Parallelism, counter)
-	c2 := apriori.CountItemsetsC(d2, gcr, cfg.Parallelism, counter)
+	c1 := apriori.CountItemsetsP(d1, gcr, cfg.Parallelism)
+	c2 := apriori.CountItemsetsP(d2, gcr, cfg.Parallelism)
 	regions := make([]MeasuredRegion, len(gcr))
 	for i := range gcr {
 		regions[i] = MeasuredRegion{Alpha1: float64(c1[i]), Alpha2: float64(c2[i])}
@@ -88,17 +78,17 @@ type viewPair struct {
 	v1, v2 *apriori.View
 }
 
-// newReplicate implements the bootstrapper fast path: when the vertical
-// engine is worth it for the pool, replicates draw multiplicity-vector
-// views instead of materializing resampled datasets, mine them through the
-// weighted vertical DFS, and count the GCR through the pool's memoized
+// newReplicate implements the bootstrapper fast path: when the pool's
+// vertical index fits (apriori.UseViewBootstrap), replicates draw
+// multiplicity-vector views instead of materializing resampled datasets,
+// mine them through the weighted vertical DFS, and count the GCR through the pool's memoized
 // index: the two mines' sorted outputs merge into the GCR, and an itemset
 // is counted under a view only on the side where it was not frequent. The
 // RNG stream, the integer counts, and hence the replicate deviations are
 // bit-identical to the generic Resample/Induce/MeasureGCR path — pinned by
 // TestQualifyViewBootstrapEquivalence and FuzzQualifyViewBootstrap.
 func (c litsClass) newReplicate(pool *txn.Dataset, cfg *Config) (replicateFunc, bool) {
-	if !apriori.UseViewBootstrap(c.counterFor(cfg), pool) {
+	if !apriori.UseViewBootstrap(pool) {
 		return nil, false
 	}
 	// Build the shared index once, in parallel, before the workers start;
@@ -161,7 +151,6 @@ func (c litsClass) NewWindow(parallelism int) (Window[*txn.Dataset, *LitsModel],
 	}
 	return &litsWindow{
 		minSupport:  c.minSupport,
-		counter:     c.counter,
 		parallelism: parallelism,
 		intern:      newInternTable(),
 	}, nil
@@ -253,7 +242,6 @@ func (b *litsBatch) grow(n int) {
 // the window's clone family.
 type litsWindow struct {
 	minSupport  float64
-	counter     apriori.Counter
 	numItems    int
 	parallelism int
 	intern      *internTable
@@ -284,7 +272,7 @@ func (w *litsWindow) Add(d *txn.Dataset, parallelism int) error {
 	} else if d.NumItems != w.numItems {
 		return fmt.Errorf("core: batch universe %d != window universe %d", d.NumItems, w.numItems)
 	}
-	b := &litsBatch{data: d, items: apriori.ItemCountsWith(d, parallelism, w.counter)}
+	b := &litsBatch{data: d, items: apriori.ItemCountsP(d, parallelism)}
 	// Delta-merge: count the warm itemsets in the new batch alone and fold
 	// them into the aggregate, preserving the invariant that a warm itemset
 	// is cached in every live batch (RemoveFront subtracts from the cache).
@@ -298,7 +286,7 @@ func (w *litsWindow) Add(d *txn.Dataset, parallelism int) error {
 	}
 	if len(warm) > 0 {
 		b.grow(len(w.intern.sets))
-		counts := apriori.CountItemsetsC(d, warm, parallelism, w.counter)
+		counts := apriori.CountItemsetsP(d, warm, parallelism)
 		for j, c := range counts {
 			b.counts[warmIDs[j]] = c
 			w.agg[warmIDs[j]] += c
@@ -353,7 +341,6 @@ func (w *litsWindow) Data() *txn.Dataset {
 func (w *litsWindow) Clone() Window[*txn.Dataset, *LitsModel] {
 	return &litsWindow{
 		minSupport:  w.minSupport,
-		counter:     w.counter,
 		numItems:    w.numItems,
 		parallelism: w.parallelism,
 		intern:      w.intern,
@@ -368,11 +355,11 @@ func (w *litsWindow) Clone() Window[*txn.Dataset, *LitsModel] {
 // Induce mines the window. Windows that actually mine — the live window,
 // every emission — build an incremental apriori.WindowMiner on first use
 // and keep it in sync through Add/RemoveFront; clones start without one
-// (snapshot references are counted against, not re-mined), and the trie
-// backend (or an outsized universe) falls back to levelwise mining through
-// the window's count source. Both paths produce bit-identical models.
+// (snapshot references are counted against, not re-mined), and an
+// outsized universe falls back to levelwise mining through the window's
+// count source. Both paths produce bit-identical models.
 func (w *litsWindow) Induce() (*LitsModel, error) {
-	if w.wmine == nil && len(w.batchList) > 0 && apriori.UseWindowMiner(w.counter, w.numItems) {
+	if w.wmine == nil && len(w.batchList) > 0 && apriori.UseWindowMiner(w.numItems) {
 		wm := apriori.NewWindowMiner(w.numItems)
 		for _, b := range w.batchList {
 			wm.Push(b.data, w.parallelism)
@@ -436,9 +423,9 @@ func (w *litsWindow) Count(sets []apriori.Itemset) []int {
 			}
 		}
 		if len(missing) > 0 {
-			// The batch datasets are sealed, so a bitmap backend's memoized
-			// per-batch vertical index persists across window advances.
-			counts := apriori.CountItemsetsC(b.data, missing, w.parallelism, w.counter)
+			// The batch datasets are sealed, so a memoized per-batch
+			// vertical index persists across window advances.
+			counts := apriori.CountItemsetsP(b.data, missing, w.parallelism)
 			for j, c := range counts {
 				i := missingIdx[j]
 				b.counts[ids[i]] = c

@@ -22,18 +22,11 @@ func MineLits(d *txn.Dataset, minSupport float64) (*LitsModel, error) {
 }
 
 // MineLitsP is MineLits with a parallelism knob (0 = the process default,
-// 1 = the exact serial path): Apriori's per-pass support counting is
-// sharded across workers with a deterministic shard-order merge, so the
-// model is bit-identical to the serial miner for every worker count.
+// 1 = the exact serial path): mining is sharded across workers with a
+// deterministic shard-order merge, so the model is bit-identical to the
+// serial miner for every worker count.
 func MineLitsP(d *txn.Dataset, minSupport float64, parallelism int) (*LitsModel, error) {
-	return MineLitsWith(d, minSupport, parallelism, apriori.CounterDefault)
-}
-
-// MineLitsWith is MineLitsP with an explicit itemset-counting backend
-// (trie subset scan or vertical TID-bitmap); the model is bit-identical for
-// every Counter.
-func MineLitsWith(d *txn.Dataset, minSupport float64, parallelism int, counter apriori.Counter) (*LitsModel, error) {
-	fs, err := apriori.MineWith(d, minSupport, parallelism, counter)
+	fs, err := apriori.MineP(d, minSupport, parallelism)
 	if err != nil {
 		return nil, err
 	}

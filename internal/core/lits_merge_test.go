@@ -57,6 +57,13 @@ func randomSets(rng *rand.Rand, n, universe, maxLen int) []apriori.Itemset {
 	return out
 }
 
+// holds reports whether fs holds s, by binary search over its
+// lexicographically ordered itemsets.
+func holds(fs *apriori.FrequentSet, s apriori.Itemset) bool {
+	i := sort.Search(fs.Len(), func(i int) bool { return !fs.Itemsets[i].Less(s) })
+	return i < fs.Len() && fs.Itemsets[i].Equal(s)
+}
+
 func checkMerge(t *testing.T, name string, fs1, fs2 *apriori.FrequentSet) {
 	t.Helper()
 	gcr, in1, in2 := mergeGCR(fs1, fs2)
@@ -76,7 +83,7 @@ func checkMerge(t *testing.T, name string, fs1, fs2 *apriori.FrequentSet) {
 		found := 0
 		for i, k := range c.in {
 			if k < 0 {
-				if c.fs.Lookup(gcr[i]) >= 0 {
+				if holds(c.fs, gcr[i]) {
 					t.Fatalf("%s: gcr[%d] = %v marked absent from side %d, which holds it", name, i, gcr[i], side+1)
 				}
 				continue
@@ -176,7 +183,7 @@ func TestFrequentSetProducersStrictlyOrdered(t *testing.T) {
 			}
 			checkStrictOrder(t, "MineVertical", fs)
 		}
-		fs, err := apriori.MineFrom(apriori.NewEngine(d, 1, apriori.CounterTrie), ms)
+		fs, err := apriori.MineFrom(apriori.NewEngine(d, 1), ms)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,8 +242,8 @@ func decodeQualifyPool(universe int, data []byte) []txn.Transaction {
 }
 
 // FuzzQualifyViewBootstrap qualifies a fuzzed pair of datasets through the
-// generic Resample/Induce/MeasureGCR replicate (the trie backend) and
-// through bootstrap views (the bitmap backend) at parallelism 1 and 4: the
+// generic Resample/Induce/MeasureGCR replicate (genericLits) and through
+// bootstrap views (Lits) at parallelism 1 and 4: the
 // deviation, the significance and every null value must agree to the bit.
 // flags bit 0 selects an extension bootstrap, bit 1 a focus predicate, and
 // the rest seeds the bootstrap; split picks where d1 ends.
@@ -272,13 +279,13 @@ func FuzzQualifyViewBootstrap(f *testing.F) {
 		if flags&2 != 0 {
 			opts = append(opts, WithFocusItemsets(func(s apriori.Itemset) bool { return len(s) >= 2 }))
 		}
-		want, err := Qualify(LitsWithCounter(minSupport, apriori.CounterTrie), d1, d2, AbsoluteDiff, Sum,
+		want, err := Qualify(genericLits(minSupport), d1, d2, AbsoluteDiff, Sum,
 			append([]Option{WithParallelism(1)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range []int{1, 4} {
-			got, err := Qualify(LitsWithCounter(minSupport, apriori.CounterBitmap), d1, d2, AbsoluteDiff, Sum,
+			got, err := Qualify(Lits(minSupport), d1, d2, AbsoluteDiff, Sum,
 				append([]Option{WithParallelism(p)}, opts...)...)
 			if err != nil {
 				t.Fatal(err)

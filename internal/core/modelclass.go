@@ -121,13 +121,6 @@ type Config struct {
 	// n >= 2 uses n workers. Results are bit-identical for every setting.
 	Parallelism int
 
-	// Counter selects the itemset-support counting backend of lits-model
-	// scans ("" or "auto" picks per call by density × candidate volume;
-	// "trie"/"bitmap" force a backend). Counts — and everything induced
-	// from them — are bit-identical for every setting. Ignored by classes
-	// that do not count itemsets.
-	Counter apriori.Counter
-
 	// FocusRegion, when non-nil, restricts dt-model deviations to the given
 	// region (Definition 5.2). Ignored by classes without box regions.
 	FocusRegion *region.Box
@@ -191,16 +184,6 @@ func WithConfig(c Config) Option { return func(dst *Config) { *dst = c } }
 // WithParallelism selects the worker count (0 = process default, 1 =
 // serial).
 func WithParallelism(n int) Option { return func(c *Config) { c.Parallelism = n } }
-
-// WithCounter selects the lits vertical-engine backend for the pipeline —
-// counting, mining, and bootstrap views follow the one knob; results are
-// bit-identical for every backend. Monitors take their backend from the
-// model class instead (LitsWithCounter). Unknown backends panic here, at
-// the option site, rather than at the first scan.
-func WithCounter(counter apriori.Counter) Option {
-	apriori.MustCounter(counter)
-	return func(c *Config) { c.Counter = counter }
-}
 
 // WithFocus restricts the deviation to a box region (Definition 5.2).
 func WithFocus(b *region.Box) Option { return func(c *Config) { c.FocusRegion = b } }

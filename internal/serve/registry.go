@@ -443,15 +443,22 @@ func bindSession[D, M any](s *Session, mc core.ModelClass[D, M], ref D, hasRef b
 	return nil
 }
 
+// MaxNumItems bounds a lits session's item universe, as cluster.MaxCells
+// bounds a grid: every batch allocates pass-1 vectors of num_items counts,
+// so 2^20 items keep each at 8 MB instead of letting one create request
+// size them.
+const MaxNumItems = 1 << 20
+
 func bindLits(s *Session, cfg *SessionConfig) error {
-	if cfg.NumItems < 1 {
-		return badRequest("lits session requires num_items >= 1")
+	if cfg.NumItems < 1 || cfg.NumItems > MaxNumItems {
+		return badRequest(fmt.Sprintf("lits session requires num_items in [1, %d]", MaxNumItems))
 	}
 	if cfg.MinSupport <= 0 || cfg.MinSupport > 1 {
 		return badRequest("lits session requires min_support in (0, 1]")
 	}
-	counter, err := apriori.ParseCounter(cfg.Counter)
-	if err != nil {
+	// The counter field names a retired backend knob; stored configs still
+	// carry it, so it is validated and otherwise ignored.
+	if _, err := apriori.ParseCounter(cfg.Counter); err != nil {
 		return badRequest(err.Error())
 	}
 	mcfg, err := monitorConfig(cfg)
@@ -471,7 +478,7 @@ func bindLits(s *Session, cfg *SessionConfig) error {
 			return badRequest(fmt.Sprintf("reference: %v", err))
 		}
 	}
-	return bindSession(s, core.LitsWithCounter(cfg.MinSupport, counter), ref, ref != nil, mcfg, decode, encodeTxnRows)
+	return bindSession(s, core.Lits(cfg.MinSupport), ref, ref != nil, mcfg, decode, encodeTxnRows)
 }
 
 func bindDT(s *Session, cfg *SessionConfig) error {

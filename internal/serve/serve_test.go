@@ -72,8 +72,9 @@ func litsSession(name string) string {
 	}`, name)
 }
 
-// litsSessionCounter is litsSession with an explicit counting backend and a
-// reference wide enough that the backends do real work.
+// litsSessionCounter is litsSession with the (validated, otherwise
+// ignored) counter field set and a reference wide enough that the engine
+// does real work.
 func litsSessionCounter(name, counter string) string {
 	var rows []string
 	for i := 0; i < 300; i++ {
@@ -182,6 +183,9 @@ func TestCreateSessionValidation(t *testing.T) {
 		{"lits missing universe", `{"name": "m", "model": "lits", "min_support": 0.1, "reference": [[0]]}`, 400},
 		{"lits bad support", `{"name": "m", "model": "lits", "num_items": 5, "min_support": 2, "reference": [[0]]}`, 400},
 		{"lits item outside universe", `{"name": "m", "model": "lits", "num_items": 5, "min_support": 0.1, "reference": [[9]]}`, 400},
+		{"lits huge universe", `{"name": "m", "model": "lits", "num_items": 4611686018427387904, "min_support": 0.1, "reference": [[0]]}`, 400},
+		{"lits universe over bound", fmt.Sprintf(`{"name": "m", "model": "lits", "num_items": %d, "min_support": 0.1, "reference": [[0]]}`, serve.MaxNumItems+1), 400},
+		{"lits counter auto", litsSessionCounter("ok-auto", "auto"), 201},
 		{"lits counter bitmap", litsSessionCounter("ok-bitmap", "bitmap"), 201},
 		{"lits counter trie", litsSessionCounter("ok-trie", "trie"), 201},
 		{"lits bad counter", litsSessionCounter("m", "btree"), 400},
@@ -394,9 +398,10 @@ func TestPreviousWindowSession(t *testing.T) {
 	}
 }
 
-// TestCounterSessionsEquivalent feeds identical batch streams to a trie
-// session and a bitmap session: every report — deviation bytes included,
-// since both decode from the same JSON rendering — must be identical.
+// TestCounterSessionsEquivalent feeds identical batch streams to sessions
+// created with "counter": "trie" and "bitmap": the field is validated and
+// ignored, so every report — deviation bytes included, since both decode
+// from the same JSON rendering — must be identical.
 func TestCounterSessionsEquivalent(t *testing.T) {
 	ts := newServer(t)
 	for _, counter := range []string{"trie", "bitmap"} {

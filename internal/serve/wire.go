@@ -82,12 +82,14 @@ type SessionConfig struct {
 	// Model is "lits", "dt" or "cluster".
 	Model string `json:"model"`
 
-	// Lits sessions: the item universe size and Apriori minimum support.
+	// Lits sessions: the item universe size (at most MaxNumItems) and
+	// Apriori minimum support.
 	NumItems   int     `json:"num_items,omitempty"`
 	MinSupport float64 `json:"min_support,omitempty"`
-	// Counter selects the lits counting backend ("auto", "trie" or
-	// "bitmap"; empty = the process default). Reports are bit-identical
-	// for every backend.
+	// Counter names a retired lits counting-backend knob ("auto", "trie"
+	// or "bitmap"; empty = unset). It is accepted and validated, so stored
+	// configs and peer exports that carry it still restore, and otherwise
+	// ignored: the engine picks its backend from the input size alone.
 	Counter string `json:"counter,omitempty"`
 
 	// Dt and cluster sessions: the attribute space of the tuples.

@@ -124,7 +124,7 @@ func (d *Dataset) Memo(build func() any) any {
 
 // HasMemo reports whether a memoized derived structure currently exists —
 // a cheap probe for heuristics that would choose differently when the
-// structure is already paid for (see apriori's auto counter).
+// structure is already paid for (see apriori's indexFits).
 func (d *Dataset) HasMemo() bool {
 	d.memoMu.Lock()
 	defer d.memoMu.Unlock()
