@@ -251,32 +251,10 @@ func BenchmarkMineTrie(b *testing.B) {
 	d, _ := countBenchData(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := apriori.MineFrom(trieSource{d}, 0.1); err != nil {
+		if _, err := apriori.MineFrom(apriori.TrieSource{D: d, Parallelism: 1}, 0.1); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// trieSource is the engine's bounded-memory fallback forced on any
-// dataset, serially: pass 1 by a horizontal scan, every candidate pass
-// through the trie.
-type trieSource struct{ d *txn.Dataset }
-
-func (s trieSource) NumTxns() int  { return s.d.Len() }
-func (s trieSource) NumItems() int { return s.d.NumItems }
-
-func (s trieSource) ItemCounts() []int {
-	counts := make([]int, s.d.NumItems)
-	for _, t := range s.d.Txns {
-		for _, it := range t {
-			counts[it]++
-		}
-	}
-	return counts
-}
-
-func (s trieSource) Count(sets []apriori.Itemset) []int {
-	return apriori.CountItemsetsTrie(s.d, sets, 1)
 }
 
 func BenchmarkMineVertical(b *testing.B) {

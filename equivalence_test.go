@@ -104,13 +104,26 @@ func TestClusterQualification(t *testing.T) {
 // fallback (trie counting, levelwise mining, materialized replicates,
 // levelwise window mining), across f/g and parallelism. Re-declaring the
 // same transactions over a wider item universe is what moves them past a
-// cap; no count changes. CI runs this sweep under -race, which also
+// cap; no support changes. CI runs this sweep under -race, which also
 // exercises the memoized index build from concurrent counting workers.
 
-// indexCapItems is a universe wide enough that the vertical index of 2500
-// or more transactions (40+ words per item) exceeds the engine's index
-// memory cap, so every scan takes the fallback.
-const indexCapItems = 1 << 20
+// indexCapItems and indexCapCopies move the facade data past the engine's
+// index memory cap, which costs an index by the items its transactions
+// can hold: seven copies of 2500 transactions (17500 rows, 274 words per
+// item) hold some 140000 item occurrences, enough to fill a 2^18-item
+// universe well past the 256 MB cap, so every scan takes the fallback.
+// The same rows over their own 300 items take the index path.
+const indexCapItems, indexCapCopies = 1 << 18, 7
+
+// copies returns d's transactions k times over, sharing their storage:
+// every support (a fraction) is unchanged.
+func copies(d *focus.TxnDataset, k int) *focus.TxnDataset {
+	var rows []focus.Transaction
+	for i := 0; i < k; i++ {
+		rows = append(rows, d.Txns...)
+	}
+	return focus.FromTransactions(d.NumItems, rows)
+}
 
 // pairCapItems is a universe just past the incremental window miner's
 // pair-table cap, so monitor windows mine levelwise through their count
@@ -127,6 +140,7 @@ func widen(d *focus.TxnDataset, n int) *focus.TxnDataset {
 // index cap end to end and requires identical models and deviations.
 func TestCounterEquivalenceDeviation(t *testing.T) {
 	d1, _, d3 := facadeTxnData(t)
+	d1, d3 = copies(d1, indexCapCopies), copies(d3, indexCapCopies)
 	const ms = 0.03
 	mc := focus.Lits(ms)
 	for _, fg := range fgCases() {
@@ -169,15 +183,20 @@ func TestCounterEquivalenceDeviation(t *testing.T) {
 // the whole null distribution to match exactly.
 func TestCounterEquivalenceQualify(t *testing.T) {
 	d1, _, d3 := facadeTxnData(t)
+	d1, d3 = copies(d1, indexCapCopies), copies(d3, indexCapCopies)
 	mc := focus.Lits(0.03)
 	for _, fg := range fgCases() {
 		for _, par := range parCases {
 			var quals []focus.Qualification
 			for _, items := range []int{d1.NumItems, indexCapItems} {
-				q, err := focus.Qualify(mc, widen(d1, items), widen(d3, items), fg.f, fg.g,
+				a, b := widen(d1, items), widen(d3, items)
+				q, err := focus.Qualify(mc, a, b, fg.f, fg.g,
 					focus.WithReplicates(19), focus.WithSeed(13), focus.WithParallelism(par))
 				if err != nil {
 					t.Fatal(err)
+				}
+				if items == indexCapItems && (a.HasMemo() || b.HasMemo()) {
+					t.Fatal("the fallback built a vertical index")
 				}
 				quals = append(quals, q)
 			}

@@ -152,17 +152,28 @@ func TestMineWithBackendsIdentical(t *testing.T) {
 	}
 }
 
-// TestIndexFits pins the engine's one backend decision at its boundary:
-// 2^20 items cost 24+8·Words(N) bytes each, so up to 29 words (1856
-// transactions) fit the 2^28-byte cap and 30 words do not; a memoized
-// index always fits.
+// TestIndexFits pins the engine's one backend decision. The index is
+// costed by the items a dataset can hold, not by its universe: a 60-row
+// batch over 2^20 items fits. Over 2^20 items, single-item transactions
+// cost 4·2^20 bytes of slots plus 32+8·Words(N) bytes each, so 45824 of
+// them (716 words) fit the 2^28-byte cap and 45825 (717 words) do not; a
+// memoized index always fits.
 func TestIndexFits(t *testing.T) {
-	wide := func(n int) *txn.Dataset { return &txn.Dataset{NumItems: 1 << 20, Txns: make([]txn.Transaction, n)} }
-	if !indexFits(wide(1856)) {
-		t.Fatal("a 29-word index over 2^20 items does not fit")
+	wide := func(n int) *txn.Dataset {
+		d := txn.New(1 << 20)
+		for i := 0; i < n; i++ {
+			d.Add(txn.Transaction{txn.Item(i)})
+		}
+		return d
 	}
-	if indexFits(wide(1857)) {
-		t.Fatal("a 30-word index over 2^20 items fits")
+	if !indexFits(wide(60)) {
+		t.Fatal("a 60-row batch over 2^20 items does not fit")
+	}
+	if !indexFits(wide(45824)) {
+		t.Fatal("a 716-word index over 2^20 items does not fit")
+	}
+	if indexFits(wide(45825)) {
+		t.Fatal("a 717-word index over 2^20 items fits")
 	}
 	d := randomCountDataset(300, 25, 81)
 	VerticalIndexOf(d, 1)
@@ -172,9 +183,9 @@ func TestIndexFits(t *testing.T) {
 	}
 }
 
-// TestEngineFallback drives the engine past the index memory cap — a
-// 50000-item universe over 43000 transactions needs 672 words per item —
-// and requires that it builds no index and still counts, mines and
+// TestEngineFallback drives the engine past the index memory cap — 43000
+// transactions hold enough item occurrences to fill a 50000-item universe,
+// at 672 words per item — and requires that it builds no index and still counts, mines and
 // scans pass 1 exactly like the index path over the same transactions.
 func TestEngineFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))

@@ -57,25 +57,10 @@ func bruteMine(d *txn.Dataset, minSupport float64) *FrequentSet {
 	return out
 }
 
-// trieSource is the engine's bounded-memory fallback forced on any
-// dataset: pass 1 by a horizontal scan, every candidate pass through the
-// trie.
-type trieSource struct {
-	d           *txn.Dataset
-	parallelism int
-}
-
-func (s trieSource) NumTxns() int      { return s.d.Len() }
-func (s trieSource) NumItems() int     { return s.d.NumItems }
-func (s trieSource) ItemCounts() []int { return horizontalItemCounts(s.d, s.parallelism) }
-func (s trieSource) Count(sets []Itemset) []int {
-	return CountItemsetsTrie(s.d, sets, s.parallelism)
-}
-
 // mineLevelwise mines d by levelwise Apriori over the trie, whatever the
 // index would cost — the fallback's miner as a reference.
 func mineLevelwise(d *txn.Dataset, minSupport float64, parallelism int) (*FrequentSet, error) {
-	return MineFrom(trieSource{d, parallelism}, minSupport)
+	return MineFrom(TrieSource{D: d, Parallelism: parallelism}, minSupport)
 }
 
 // assertSameMine fails unless got matches want itemset-for-itemset,

@@ -310,7 +310,7 @@ func (m *vminer) mineRoots(roots []vnode, lo, hi int) {
 func rootNodes(ix *VerticalIndex, itemCounts []int, minCount int, buf []vnode) []vnode {
 	for it, c := range itemCounts {
 		if c >= minCount {
-			buf = append(buf, vnode{item: txn.Item(it), set: ix.items[it], count: c})
+			buf = append(buf, vnode{item: txn.Item(it), set: ix.bits(txn.Item(it)), count: c})
 		}
 	}
 	return buf
@@ -342,7 +342,7 @@ func MineVertical(d *txn.Dataset, minSupport float64, parallelism int) (*Frequen
 	}
 	ix := VerticalIndexOf(d, parallelism)
 	minCount := minCountFor(minSupport, n)
-	roots := rootNodes(ix, ix.itemCounts, minCount, nil)
+	roots := rootNodes(ix, ix.ItemCounts(), minCount, nil)
 	if len(roots) == 0 {
 		return out, nil
 	}

@@ -37,31 +37,43 @@ func ParseCounter(name string) (Counter, error) {
 }
 
 // VerticalIndex is the vertical form of a transaction dataset: for each
-// item, the bitset of transaction indexes containing it (nil for items
-// occurring in no transaction, so the footprint scales with the items
-// actually present). Build one with BuildVerticalIndex, or let
-// VerticalIndexOf memoize one on the dataset. A built index is immutable
-// and safe for concurrent use.
+// item occurring in some transaction, the bitset of transaction indexes
+// containing it and its support count. Only the items present get a
+// bitset, a slice header and a count; the universe costs one 4-byte slot
+// per item, so a small batch over a wide universe stays small. Build one
+// with BuildVerticalIndex, or let VerticalIndexOf memoize one on the
+// dataset. A built index is immutable and safe for concurrent use.
 type VerticalIndex struct {
-	n          int
-	items      []bitset.Set
-	itemCounts []int
+	n      int
+	slot   []int32      // by item: 1 + its position in sets and counts, 0 when absent
+	sets   []bitset.Set // by position: the item's transaction bitset
+	counts []int        // by position: the item's support count
 }
 
 // BuildVerticalIndex builds the vertical index of d, sharding the
 // transaction scan across Workers(parallelism) workers on bitset-word
 // boundaries so shards never share a word.
 func BuildVerticalIndex(d *txn.Dataset, parallelism int) *VerticalIndex {
-	// Pass 1: per-item occurrence counts, so only present items allocate a
-	// bitset.
-	ix := &VerticalIndex{
-		n:          d.Len(),
-		items:      make([]bitset.Set, d.NumItems),
-		itemCounts: horizontalItemCounts(d, parallelism),
-	}
-	for it, c := range ix.itemCounts {
+	// Pass 1: per-item occurrence counts, so only present items take a
+	// position.
+	itemCounts := horizontalItemCounts(d, parallelism)
+	present := 0
+	for _, c := range itemCounts {
 		if c > 0 {
-			ix.items[it] = bitset.New(ix.n)
+			present++
+		}
+	}
+	ix := &VerticalIndex{
+		n:      d.Len(),
+		slot:   make([]int32, d.NumItems),
+		sets:   make([]bitset.Set, 0, present),
+		counts: make([]int, 0, present),
+	}
+	for it, c := range itemCounts {
+		if c > 0 {
+			ix.sets = append(ix.sets, bitset.New(ix.n))
+			ix.counts = append(ix.counts, c)
+			ix.slot[it] = int32(len(ix.sets))
 		}
 	}
 	// Pass 2: set each transaction's bit in its items' bitsets. Chunks are
@@ -81,7 +93,7 @@ func BuildVerticalIndex(d *txn.Dataset, parallelism int) *VerticalIndex {
 func (ix *VerticalIndex) fill(d *txn.Dataset, c parallel.Chunk) {
 	for i := c.Lo; i < c.Hi; i++ {
 		for _, it := range d.Txns[i] {
-			ix.items[it].Set(i)
+			ix.sets[ix.slot[it]-1].Set(i)
 		}
 	}
 }
@@ -105,9 +117,22 @@ func (ix *VerticalIndex) NumTxns() int { return ix.n }
 
 // ItemCounts returns the absolute per-item support counts (a fresh slice).
 func (ix *VerticalIndex) ItemCounts() []int {
-	out := make([]int, len(ix.itemCounts))
-	copy(out, ix.itemCounts)
+	out := make([]int, len(ix.slot))
+	for it, p := range ix.slot {
+		if p > 0 {
+			out[it] = ix.counts[p-1]
+		}
+	}
 	return out
+}
+
+// bits returns the transaction bitset of item it, or nil when it lies
+// outside the universe or occurs in no transaction.
+func (ix *VerticalIndex) bits(it txn.Item) bitset.Set {
+	if int(it) < 0 || int(it) >= len(ix.slot) || ix.slot[it] == 0 {
+		return nil
+	}
+	return ix.sets[ix.slot[it]-1]
 }
 
 // Count returns, for each itemset in sets, the absolute number of indexed
@@ -134,7 +159,7 @@ func (ix *VerticalIndex) Count(sets []Itemset, parallelism int) []int {
 // worker-private intersection storage.
 func (ix *VerticalIndex) countOne(s Itemset, scratch *bitset.Set) int {
 	for _, it := range s {
-		if int(it) < 0 || int(it) >= len(ix.items) || ix.items[it] == nil {
+		if ix.bits(it) == nil {
 			return 0 // item outside the universe or in no transaction
 		}
 	}
@@ -142,16 +167,16 @@ func (ix *VerticalIndex) countOne(s Itemset, scratch *bitset.Set) int {
 	case 0:
 		return ix.n // the empty itemset covers every transaction
 	case 1:
-		return ix.itemCounts[s[0]]
+		return ix.counts[ix.slot[s[0]]-1]
 	case 2:
-		return bitset.AndCount(ix.items[s[0]], ix.items[s[1]])
+		return bitset.AndCount(ix.bits(s[0]), ix.bits(s[1]))
 	}
 	if *scratch == nil {
 		*scratch = bitset.New(ix.n)
 	}
-	acc := bitset.AndInto(*scratch, ix.items[s[0]], ix.items[s[1]])
+	acc := bitset.AndInto(*scratch, ix.bits(s[0]), ix.bits(s[1]))
 	for _, it := range s[2 : len(s)-1] {
-		acc = bitset.AndInto(acc, acc, ix.items[it])
+		acc = bitset.AndInto(acc, acc, ix.bits(it))
 	}
-	return bitset.AndCount(acc, ix.items[s[len(s)-1]])
+	return bitset.AndCount(acc, ix.bits(s[len(s)-1]))
 }

@@ -112,7 +112,7 @@ func (v *View) Mine(minSupport float64) (*FrequentSet, error) {
 // bit-identical to counting the materialized resample.
 func (v *View) CountOne(s Itemset) int {
 	for _, it := range s {
-		if int(it) < 0 || int(it) >= len(v.ix.items) || v.ix.items[it] == nil {
+		if v.ix.bits(it) == nil {
 			return 0 // item outside the universe or in no base transaction
 		}
 	}
@@ -122,16 +122,16 @@ func (v *View) CountOne(s Itemset) int {
 	case 1:
 		return v.itemCounts[s[0]]
 	case 2:
-		return bitset.WeightAnd(v.ix.items[s[0]], v.ix.items[s[1]], v.draw.Mult)
+		return bitset.WeightAnd(v.ix.bits(s[0]), v.ix.bits(s[1]), v.draw.Mult)
 	}
 	if v.scratch == nil {
 		v.scratch = bitset.New(v.ix.n)
 	}
-	acc := bitset.AndInto(v.scratch, v.ix.items[s[0]], v.ix.items[s[1]])
+	acc := bitset.AndInto(v.scratch, v.ix.bits(s[0]), v.ix.bits(s[1]))
 	for _, it := range s[2 : len(s)-1] {
-		acc.And(v.ix.items[it])
+		acc.And(v.ix.bits(it))
 	}
-	return bitset.WeightAnd(acc, v.ix.items[s[len(s)-1]], v.draw.Mult)
+	return bitset.WeightAnd(acc, v.ix.bits(s[len(s)-1]), v.draw.Mult)
 }
 
 // UseViewBootstrap reports whether lits bootstrap replicates over the pool

@@ -122,7 +122,7 @@ func (wm *WindowMiner) buildCombined(roots []vnode) {
 	for _, d := range wm.parts {
 		ix := VerticalIndexOf(d, 1)
 		for r := range roots {
-			if s := ix.items[roots[r].item]; s != nil {
+			if s := ix.bits(roots[r].item); s != nil {
 				bitset.OrShiftInto(wm.combined[r], s, off)
 			}
 		}

@@ -205,13 +205,13 @@ func (t *internTable) idOf(s apriori.Itemset) int {
 
 // litsBatch is the sealed summary of one batch of transactions: the raw
 // transactions (retained so itemsets first seen in later windows can still
-// be counted), the mergeable pass-1 item-count vector, and a cache of
-// absolute support counts per interned itemset already counted in this
-// batch (-1 = not yet counted). The cache is what makes window advance
-// incremental — a stable candidate set never rescans a retained batch.
+// be counted, and walked again to subtract their pass-1 item counts on
+// expiry) and a cache of absolute support counts per interned itemset
+// already counted in this batch (-1 = not yet counted). The cache is what
+// makes window advance incremental — a stable candidate set never rescans
+// a retained batch.
 type litsBatch struct {
 	data   *txn.Dataset
-	items  []int
 	counts []int // by interned id; -1 marks uncounted
 }
 
@@ -272,7 +272,7 @@ func (w *litsWindow) Add(d *txn.Dataset, parallelism int) error {
 	} else if d.NumItems != w.numItems {
 		return fmt.Errorf("core: batch universe %d != window universe %d", d.NumItems, w.numItems)
 	}
-	b := &litsBatch{data: d, items: apriori.ItemCountsP(d, parallelism)}
+	b := &litsBatch{data: d}
 	// Delta-merge: count the warm itemsets in the new batch alone and fold
 	// them into the aggregate, preserving the invariant that a warm itemset
 	// is cached in every live batch (RemoveFront subtracts from the cache).
@@ -293,9 +293,7 @@ func (w *litsWindow) Add(d *txn.Dataset, parallelism int) error {
 		}
 	}
 	w.batchList = append(w.batchList, b)
-	for i, v := range b.items {
-		w.items[i] += v
-	}
+	w.addItems(d, 1)
 	w.n += d.Len()
 	if w.wmine != nil {
 		w.wmine.Push(d, parallelism)
@@ -303,13 +301,22 @@ func (w *litsWindow) Add(d *txn.Dataset, parallelism int) error {
 	return nil
 }
 
+// addItems folds d's pass-1 item counts into the window's with the given
+// sign, by one walk of its transactions: a batch keeps no per-item vector
+// of its own, so a window over a wide universe holds one.
+func (w *litsWindow) addItems(d *txn.Dataset, sign int) {
+	for _, t := range d.Txns {
+		for _, it := range t {
+			w.items[it] += sign
+		}
+	}
+}
+
 func (w *litsWindow) RemoveFront() {
 	b := w.batchList[0]
 	w.batchList[0] = nil
 	w.batchList = w.batchList[1:]
-	for i, v := range b.items {
-		w.items[i] -= v
-	}
+	w.addItems(b.data, -1)
 	for id, ok := range w.aggOK {
 		if ok {
 			w.agg[id] -= b.counts[id]

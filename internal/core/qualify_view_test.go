@@ -83,7 +83,7 @@ func TestUseViewBootstrapGate(t *testing.T) {
 	if !apriori.UseViewBootstrap(big) {
 		t.Fatal("skipped the view bootstrap on a pool whose index fits")
 	}
-	wide := &txn.Dataset{NumItems: 1 << 24, Txns: big.Txns}
+	wide := &txn.Dataset{NumItems: 1 << 26, Txns: big.Txns} // 4-byte slots alone fill the cap
 	if apriori.UseViewBootstrap(wide) {
 		t.Fatal("took the view bootstrap past the index memory cap")
 	}

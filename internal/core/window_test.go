@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"focus/internal/apriori"
 	"focus/internal/txn"
 )
 
@@ -65,7 +67,7 @@ func TestLitsWindowCachesCounts(t *testing.T) {
 	items := make([]int, numItems)
 	for _, b := range lw.batchList {
 		wantN += b.data.Len()
-		for j, v := range b.items {
+		for j, v := range apriori.ItemCountsP(b.data, 1) {
 			items[j] += v
 		}
 	}
@@ -77,6 +79,48 @@ func TestLitsWindowCachesCounts(t *testing.T) {
 			t.Fatalf("windowed item counts diverged at item %d: %d != %d", j, lw.items[j], items[j])
 		}
 	}
+}
+
+// A window over a wide universe must hold little per retained batch. Four
+// sealed 60-row batches over 2^20 items, each indexed by window counting,
+// may keep their indexes' 4-byte slot per universe item, and the window
+// its own 8-byte pass-1 vector: 24 MB. The bound, 8 MB plus 6 bytes per
+// item per batch, is under the 40 MB a window holds when every batch also
+// keeps an 8-byte pass-1 vector, and far under the 168 MB of indexes with
+// a slice header per universe item.
+func TestLitsWindowWideUniverseFootprint(t *testing.T) {
+	const numItems, batches = 1 << 20, 4
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w, err := Lits(0.1).NewWindow(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lw := w.(*litsWindow)
+	for b := 0; b < batches; b++ {
+		d := txn.New(numItems)
+		for i := 0; i < 60; i++ {
+			d.Add(txn.Transaction{txn.Item(i), txn.Item(1000 + b*100 + i)})
+		}
+		if err := w.Add(d, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lw.Count([]apriori.Itemset{{1, 1001}, {2, 3}})
+	for i, b := range lw.batchList {
+		if !b.data.HasMemo() {
+			t.Fatalf("batch %d was counted without its vertical index", i)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("window holds %.1f MB after GC", float64(held)/(1<<20))
+	if limit := int64(numItems * (8 + 6*batches)); held > limit {
+		t.Fatalf("window holds %.1f MB after GC, want at most %.1f MB", float64(held)/(1<<20), float64(limit)/(1<<20))
+	}
+	runtime.KeepAlive(w)
 }
 
 // A clone shares sealed batch summaries and the intern table with its
