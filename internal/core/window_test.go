@@ -86,8 +86,7 @@ func TestLitsWindowCachesCounts(t *testing.T) {
 // may keep their indexes' 4-byte slot per universe item, and the window
 // its own 8-byte pass-1 vector: 24 MB. The bound, 8 MB plus 6 bytes per
 // item per batch, is under the 40 MB a window holds when every batch also
-// keeps an 8-byte pass-1 vector, and far under the 168 MB of indexes with
-// a slice header per universe item.
+// keeps an 8-byte pass-1 vector.
 func TestLitsWindowWideUniverseFootprint(t *testing.T) {
 	const numItems, batches = 1 << 20, 4
 	var before, after runtime.MemStats
@@ -158,4 +157,20 @@ func TestLitsWindowCloneSharesSummaries(t *testing.T) {
 	if m1.Len() != m2.Len() {
 		t.Errorf("clone model has %d itemsets, raw rebuild %d", m1.Len(), m2.Len())
 	}
+}
+
+// LitsWithCounter is a stub kept for replayed session configs: every
+// counter name ParseCounter accepts yields Lits, and any other panics.
+func TestLitsWithCounterStub(t *testing.T) {
+	for _, name := range []string{"", "auto", "trie", "bitmap"} {
+		if got, want := LitsWithCounter(0.1, apriori.Counter(name)), Lits(0.1); got != want {
+			t.Errorf("LitsWithCounter(%q) = %v, want %v", name, got, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("LitsWithCounter accepted an unknown counter")
+		}
+	}()
+	LitsWithCounter(0.1, "btree")
 }

@@ -444,9 +444,10 @@ func bindSession[D, M any](s *Session, mc core.ModelClass[D, M], ref D, hasRef b
 }
 
 // MaxNumItems bounds a lits session's item universe, as cluster.MaxCells
-// bounds a grid: every batch allocates pass-1 vectors of num_items counts,
-// so 2^20 items keep each at 8 MB instead of letting one create request
-// size them.
+// bounds a grid: a window keeps a pass-1 vector of num_items counts, and
+// its batch scans allocate more (and a 4-byte index slot per item), so
+// 2^20 items keep each vector at 8 MB instead of letting one create
+// request size them.
 const MaxNumItems = 1 << 20
 
 func bindLits(s *Session, cfg *SessionConfig) error {
